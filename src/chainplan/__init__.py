@@ -82,8 +82,10 @@ from .planner import (
 )
 from .analysis import (
     ChainReport,
+    CompiledNetwork,
     SensitivityResult,
     SweepResult,
+    compile_network,
     find_chains,
     privilege_sensitivity,
     sweep_targets,

@@ -18,13 +18,38 @@ from .netmodel import NetworkSpec, RelevanceResult, select_relevant_exploits
 from .pddlgen import (
     CONNECT_ACTIONS,
     PddlDocument,
+    compromised_atom,
     emit_domain,
     emit_problem,
     resolve_exploit_action,
 )
-from .planner import Plan, PlanningTask, find_top_k, ground
+from .planner import Plan, PlanningTask, exploit_key, find_top_k, ground
 
 # --- pipeline -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompiledNetwork:
+    """A network and catalog compiled into PDDL documents and a ground task."""
+
+    relevance: RelevanceResult
+    domain: PddlDocument
+    problem: PddlDocument
+    task: PlanningTask
+
+
+def compile_network(net: NetworkSpec, matrix: ExploitMatrix) -> CompiledNetwork:
+    """Relevance -> domain and problem emission -> grounding.
+
+    Only the goal atom depends on the scenario's goal: retarget the compiled
+    task with ``PlanningTask.with_goal`` instead of compiling again. Raises
+    EmptyDomain, carrying the relevance result, when no exploit is relevant.
+    """
+    relevance = select_relevant_exploits(net, matrix)
+    domain = emit_domain(relevance, matrix, net)
+    problem = emit_problem(net)
+    return CompiledNetwork(relevance=relevance, domain=domain, problem=problem,
+                           task=ground(domain, problem))
 
 
 @dataclass(frozen=True)
@@ -41,21 +66,17 @@ class ChainSearch:
 def find_chains(net: NetworkSpec, matrix: ExploitMatrix, k: int,
                 max_len: int | None = None,
                 max_expansions: int = 100_000) -> ChainSearch:
-    """Relevance -> PDDL -> grounding -> top-k enumeration, in one call."""
-    relevance = select_relevant_exploits(net, matrix)
-    if not relevance.relevant:
-        return ChainSearch(plans=(), task=None, relevance=relevance,
-                           domain=None, problem=None)
+    """Compile, then enumerate the top-k chains, in one call."""
     try:
-        domain = emit_domain(relevance, matrix, net)
-    except EmptyDomain:
-        return ChainSearch(plans=(), task=None, relevance=relevance,
+        compiled = compile_network(net, matrix)
+    except EmptyDomain as exc:
+        return ChainSearch(plans=(), task=None, relevance=exc.relevance,
                            domain=None, problem=None)
-    problem = emit_problem(net)
-    task = ground(domain, problem)
-    plans = find_top_k(task, k, max_len=max_len, max_expansions=max_expansions)
-    return ChainSearch(plans=tuple(plans), task=task, relevance=relevance,
-                       domain=domain, problem=problem)
+    plans = find_top_k(compiled.task, k, max_len=max_len,
+                       max_expansions=max_expansions)
+    return ChainSearch(plans=tuple(plans), task=compiled.task,
+                       relevance=compiled.relevance, domain=compiled.domain,
+                       problem=compiled.problem)
 
 
 # --- chain reports ----------------------------------------------------------------
@@ -117,21 +138,15 @@ def to_chain_report(plan: Plan, task: PlanningTask, matrix: ExploitMatrix) -> Ch
                 to_host=to_host, protocol=protocol,
             ))
             continue
-        record = resolve_exploit_action(action.name, matrix)
+        record = resolve_exploit_action(action.source[1], matrix)
         cls = record.exploit_class
-        if cls.exploit_type is ExploitType.PE:
-            steps.append(ChainStep(
-                action=step_id, kind="pe", from_host=action.args[0],
-                to_host=action.args[0], exploit_id=record.id,
-                exploit_name=record.name, privilege_after=cls.acquired,
-            ))
-        else:
-            steps.append(ChainStep(
-                action=step_id, kind="rce", from_host=action.args[0],
-                to_host=action.args[1], protocol=cls.protocol.value,
-                exploit_id=record.id, exploit_name=record.name,
-                privilege_after=cls.acquired,
-            ))
+        pe = cls.exploit_type is ExploitType.PE
+        steps.append(ChainStep(
+            action=step_id, kind="pe" if pe else "rce", from_host=action.args[0],
+            to_host=action.args[0] if pe else action.args[1],
+            protocol=None if pe else cls.protocol.value, exploit_id=record.id,
+            exploit_name=record.name, privilege_after=cls.acquired,
+        ))
     exploit_count = sum(1 for s in steps if s.kind != "connect")
     return ChainReport(
         steps=tuple(steps),
@@ -178,27 +193,29 @@ def sweep_targets(net: NetworkSpec, matrix: ExploitMatrix, k: int,
 
     A chain counts when it compromises the target at any privilege level:
     the state is purely propositional, so this is computed by planning once
-    per privilege goal and keeping the minimal exploit sets of the union.
-    Hosts with no chains are reported with a zero count; results are keyed
-    and ordered by host name. The default search budget is modest because a
-    sweep runs three searches per host; raise it for exhaustive counts on
-    dense networks.
+    per privilege goal (one compile, retargeted ``with_goal``) and keeping
+    the minimal exploit sets of the union. Hosts with no chains are reported
+    with a zero count; results are keyed and ordered by host name. The
+    default search budget is modest because a sweep runs three searches per
+    host; raise it for exhaustive counts on dense networks.
     """
+    try:
+        task = compile_network(net, matrix).task
+    except EmptyDomain:
+        task = None
+    levels = _SWEEP_LEVELS if task is not None else ()
     per_host = {}
     for host in sorted(net.host_names()):
         if host == net.scenario.attacker_host:
             continue
         start = time.perf_counter()
         keys: dict = {}
-        for level in _SWEEP_LEVELS:
-            retargeted = net.with_goal(host, level)
-            search = find_chains(retargeted, matrix, k, max_len=max_len,
-                                 max_expansions=max_expansions)
-            for plan in search.plans:
-                keys.setdefault(frozenset(
-                    s for s in plan.steps
-                    if search.task.action(s).source[0] == "exploit"
-                ), plan)
+        for level in levels:
+            goal = compromised_atom(host, level).render()
+            plans = find_top_k(task.with_goal((goal,)), k, max_len=max_len,
+                               max_expansions=max_expansions)
+            for plan in plans:
+                keys.setdefault(exploit_key(task, plan), plan)
         minimal = [key for key in keys
                    if not any(other < key for other in keys)]
         minimal.sort(key=len)

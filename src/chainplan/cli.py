@@ -11,17 +11,19 @@ import argparse
 import json
 import logging
 import os
+import statistics
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, classifier
 from .catalog import PrivilegeLevel, load_catalog, load_records, save_records
-from .errors import ChainplanError, PlannerTimeout
-from .netmodel import load_network, select_relevant_exploits
-from .pddlgen import emit_domain, emit_problem, to_pddl, parse_plan
-from .planner import ExternalPlannerConfig, Plan, check_plan, ground, run_external
+from .errors import ChainplanError, PlannerTimeout, SchemaError, UnknownActionId
+from .netmodel import load_network
+from .pddlgen import to_pddl, parse_plan
+from .planner import ExternalPlannerConfig, check_plan, match_plan, run_external
 
 logger = logging.getLogger(__name__)
 
@@ -32,7 +34,13 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            config = json.load(handle)
+        except ValueError as exc:
+            raise SchemaError(f"config {path}: invalid JSON ({exc})") from None
+    if not isinstance(config, dict):
+        raise SchemaError(f"config {path}: top level must be a JSON object")
+    return config
 
 
 def _require(args, *names) -> None:
@@ -46,8 +54,6 @@ def _print_json(payload: dict) -> None:
 
 
 def _meta() -> dict:
-    import time
-
     return {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": "chainplan"}
 
 
@@ -114,13 +120,11 @@ def cmd_classify(args) -> int:
 
 def cmd_emit_pddl(args) -> int:
     _require(args, "network", "catalog")
-    net = load_network(args.network)
-    matrix = load_catalog(args.catalog)
-    relevance = select_relevant_exploits(net, matrix)
-    domain = emit_domain(relevance, matrix, net)
-    problem = emit_problem(net)
-    domain_text = to_pddl(domain)
-    problem_text = to_pddl(problem)
+    compiled = analysis.compile_network(load_network(args.network),
+                                        load_catalog(args.catalog))
+    relevance = compiled.relevance
+    domain_text = to_pddl(compiled.domain)
+    problem_text = to_pddl(compiled.problem)
     if args.stdout:
         print(domain_text, end="")
         print(problem_text, end="")
@@ -196,41 +200,25 @@ def cmd_plan(args) -> int:
             timeout_s=float(external.get("timeout_s", 300.0)),
             plan_glob=external.get("plan_glob", "plan*"),
         )
-        relevance = select_relevant_exploits(net, matrix)
-        domain = emit_domain(relevance, matrix, net)
-        problem = emit_problem(net)
+        compiled = analysis.compile_network(net, matrix)
         with tempfile.TemporaryDirectory(prefix="chainplan-cli-") as tmp:
             domain_path = Path(tmp) / "domain.pddl"
             problem_path = Path(tmp) / "problem.pddl"
-            domain_path.write_text(to_pddl(domain), encoding="utf-8")
-            problem_path.write_text(to_pddl(problem), encoding="utf-8")
+            domain_path.write_text(to_pddl(compiled.domain), encoding="utf-8")
+            problem_path.write_text(to_pddl(compiled.problem), encoding="utf-8")
             plans = run_external(domain_path, problem_path, config)
-            task = ground(domain, problem)
-        search_plans, search_task = plans, task
+        relevance, task = compiled.relevance, compiled.task
     else:
         search = analysis.find_chains(net, matrix, args.k, max_len=args.max_len,
                                       max_expansions=args.max_expansions)
-        relevance = search.relevance
-        search_plans, search_task = list(search.plans), search.task
+        relevance, task, plans = search.relevance, search.task, search.plans
 
-    if not search_plans:
-        if args.format == "json":
-            payload = {"count": 0, "chains": [],
-                       "relevance": {"kept": len(relevance.relevant),
-                                     "discarded": relevance.discarded_count}}
-            if not args.no_meta:
-                payload["meta"] = _meta()
-            _print_json(payload)
-        else:
-            print("no chains found")
-        return 3
-
-    payload = _chain_payload(search_plans, search_task, matrix, relevance, args.no_meta)
+    payload = _chain_payload(plans, task, matrix, relevance, args.no_meta)
     if args.format == "json":
         _print_json(payload)
     else:
         _print_chains_text(payload)
-    return 0
+    return 0 if plans else 3
 
 
 # --- sweep / sensitivity ----------------------------------------------------------
@@ -246,14 +234,10 @@ def cmd_sweep(args) -> int:
     first = results[0]
     payload = first.to_dict(include_timing=not args.no_meta)
     if args.runs > 1 and not args.no_meta:
-        import statistics
-
         for host in payload["per_host"]:
             samples = [r.per_host[host].duration_s for r in results]
             payload["per_host"][host]["duration_s"] = statistics.fmean(samples)
-            payload["per_host"][host]["duration_std_s"] = (
-                statistics.stdev(samples) if len(samples) > 1 else 0.0
-            )
+            payload["per_host"][host]["duration_std_s"] = statistics.stdev(samples)
         payload["runs"] = args.runs
     if not args.no_meta:
         payload["meta"] = _meta()
@@ -273,10 +257,7 @@ def cmd_sensitivity(args) -> int:
     net = load_network(args.network)
     matrix = load_catalog(args.catalog)
     durations = []
-    result = None
     for _ in range(max(1, args.runs)):
-        import time
-
         start = time.perf_counter()
         result = analysis.privilege_sensitivity(
             net, matrix, args.k, max_len=args.max_len,
@@ -284,10 +265,8 @@ def cmd_sensitivity(args) -> int:
         durations.append(time.perf_counter() - start)
     payload = result.to_dict()
     if args.runs > 1 and not args.no_meta:
-        import statistics
-
         payload["duration_s"] = statistics.fmean(durations)
-        payload["duration_std_s"] = statistics.stdev(durations) if len(durations) > 1 else 0.0
+        payload["duration_std_s"] = statistics.stdev(durations)
         payload["runs"] = args.runs
     if not args.no_meta:
         payload["meta"] = _meta()
@@ -306,25 +285,14 @@ def cmd_sensitivity(args) -> int:
 def cmd_validate_plan(args) -> int:
     _require(args, "network", "catalog")
     net = _retarget(load_network(args.network), args)
-    matrix = load_catalog(args.catalog)
-    relevance = select_relevant_exploits(net, matrix)
-    domain = emit_domain(relevance, matrix, net)
-    problem = emit_problem(net)
-    task = ground(domain, problem)
+    task = analysis.compile_network(net, load_catalog(args.catalog)).task
     parsed = parse_plan(Path(args.plan).read_text(encoding="utf-8"))
-    by_lower = {a.id.lower(): a.id for a in task.actions}
-    steps = []
-    unknown = None
-    for step in parsed.steps:
-        key = " ".join((step.name,) + step.args).lower()
-        if key not in by_lower:
-            unknown = " ".join((step.name,) + step.args)
-            break
-        steps.append(by_lower[key])
-    if unknown is not None:
-        verdict = {"valid": False, "reason": f"unknown action {unknown!r}"}
+    try:
+        plan = match_plan(task, parsed)
+    except UnknownActionId as exc:
+        verdict = {"valid": False, "reason": str(exc)}
     else:
-        result = check_plan(task, Plan(steps=tuple(steps)))
+        result = check_plan(task, plan)
         verdict = {"valid": result.valid, "reason": result.reason,
                    "failed_step": result.step_index}
     if args.format == "json":

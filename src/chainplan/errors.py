@@ -89,7 +89,12 @@ class UnsupportedFeature(ChainplanError):
 
 
 class EmptyDomain(ChainplanError):
-    """No exploit in the catalog is relevant to the network."""
+    """No exploit in the catalog is relevant to the network; ``relevance``
+    is the empty selection, for callers that report it."""
+
+    def __init__(self, message: str, relevance):
+        super().__init__(message)
+        self.relevance = relevance
 
 
 # --- planner ---------------------------------------------------------------

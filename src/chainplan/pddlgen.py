@@ -11,7 +11,7 @@ disjunctions of atoms), and add-only effects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .catalog import (
     ExploitMatrix,
@@ -98,10 +98,14 @@ Clause = tuple[Atom, ...]
 
 @dataclass(frozen=True)
 class ActionSchema:
+    """``record_id`` names the catalog record an exploit schema was emitted
+    from (None for connect schemas and parsed text); never rendered or compared."""
+
     name: str
     parameters: tuple[tuple[str, str], ...]  # (?var, type)
     precondition: tuple[Clause, ...]
     effects: tuple[Atom, ...]
+    record_id: str | None = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,10 @@ def sanitize_value(value: str) -> str:
     return token
 
 
+def _extra_token(attr: str, value: str) -> str:
+    return f"{_EXTRA_PREFIX[attr]}-{sanitize_value(value)}"
+
+
 class _IdentRegistry:
     """Collision-checked identifier namespace within one document."""
 
@@ -179,12 +187,27 @@ def _version_objects(values, prefix: str) -> list[tuple[str, str]]:
     return [(f"{prefix}{v}", kind) for v in sorted(values)]
 
 
-def emit_problem(net: NetworkSpec) -> PddlDocument:
-    """Build the problem document: objects, configuration facts, scenario.
+def _config_atoms(host: str, token: str, cpe, version) -> list[Atom]:
+    """has_version for a fully numeric triple (wildcard components have no
+    object to name), then one has_<attr> per concrete extra attribute."""
+    atoms = []
+    if version.is_concrete:
+        atoms.append(Atom("has_version", (host, token, f"ma{version.major}",
+                                          f"mi{version.minor}", f"pa{version.patch}")))
+    for attr in EXTRA_ATTRS:
+        value = getattr(cpe, attr)
+        if isinstance(value, str):
+            atoms.append(Atom(f"has_{attr}", (host, token, _extra_token(attr, value))))
+    return atoms
 
-    Version facts are emitted only for fully numeric triples; wildcard
-    components have no object to name and impose no constraint.
-    """
+
+def compromised_atom(host: str, privilege: PrivilegeLevel) -> Atom:
+    """The scenario goal: ``host`` compromised at ``privilege``."""
+    return Atom("is_compromised", (host, "agent", privilege.pddl_name))
+
+
+def emit_problem(net: NetworkSpec) -> PddlDocument:
+    """Build the problem document: objects, configuration facts, scenario."""
     registry = _IdentRegistry()
     for name in net.subnets + net.host_names():
         registry.claim(name, f"network:{name}")
@@ -216,12 +239,9 @@ def emit_problem(net: NetworkSpec) -> PddlDocument:
     objects += _version_objects(majors, "ma")
     objects += _version_objects(minors, "mi")
     objects += _version_objects(patches, "pa")
-    extra_tokens: dict[tuple[str, str], str] = {}
     for attr in EXTRA_ATTRS:
         for value in sorted(extras[attr]):
-            token = f"{_EXTRA_PREFIX[attr]}-{sanitize_value(value)}"
-            registry.claim(token, f"{attr}:{value}")
-            extra_tokens[(attr, value)] = token
+            token = registry.claim(_extra_token(attr, value), f"{attr}:{value}")
             objects.append((token, attr))
 
     init: list[Atom] = []
@@ -235,18 +255,7 @@ def emit_problem(net: NetworkSpec) -> PddlDocument:
         for instance in host.products:
             token = product_token(instance.cpe)
             init.append(Atom("has_product", (host.name, token)))
-            if instance.version.is_concrete:
-                init.append(Atom("has_version", (
-                    host.name, token,
-                    f"ma{instance.version.major}",
-                    f"mi{instance.version.minor}",
-                    f"pa{instance.version.patch}",
-                )))
-            for attr in EXTRA_ATTRS:
-                value = getattr(instance.cpe, attr)
-                if isinstance(value, str):
-                    init.append(Atom(f"has_{attr}",
-                                     (host.name, token, extra_tokens[(attr, value)])))
+            init.extend(_config_atoms(host.name, token, instance.cpe, instance.version))
             if instance in host.tcp_listen:
                 init.append(Atom("TCP_listen", (host.name, token)))
             if instance in host.udp_listen:
@@ -254,16 +263,13 @@ def emit_problem(net: NetworkSpec) -> PddlDocument:
     for src, dst in net.trusted_channels:
         init.append(Atom("trusted_channel", (src, dst)))
 
-    goal = (Atom("is_compromised",
-                 (scenario.goal_host, "agent", scenario.goal_privilege.pddl_name)),)
-
     return PddlDocument(
         kind="problem",
         name=net.name,
         domain_name=DOMAIN_NAME,
         objects=tuple(objects),
         init=tuple(dict.fromkeys(init)),
-        goal=goal,
+        goal=(compromised_atom(scenario.goal_host, scenario.goal_privilege),),
     )
 
 
@@ -296,6 +302,7 @@ def _connect_schemas() -> list[ActionSchema]:
                 _foothold("?local_host"),
             ),
             effects=(Atom(connected, ("?local_host", "?remote_host", "?product")),),
+            record_id=None,
         ))
         schemas.append(ActionSchema(
             name=f"{base}_trusted",
@@ -307,6 +314,7 @@ def _connect_schemas() -> list[ActionSchema]:
                 _foothold("?local_host"),
             ),
             effects=(Atom(connected, ("?local_host", "?remote_host", "?product")),),
+            record_id=None,
         ))
     return schemas
 
@@ -325,25 +333,11 @@ def _config_clauses(record: ExploitRecord, matches, host_var: str, init_index: s
         for config in record.vulnerable_configs:
             if not cpe_matches(config, instance.cpe):
                 continue
-            version_atom = None
-            triple = split_version(config.version)
-            if triple.is_concrete:
-                candidate = Atom("has_version", (
-                    host_var, token,
-                    f"ma{triple.major}", f"mi{triple.minor}", f"pa{triple.patch}",
-                ))
-                if ("has_version", token, candidate.args[2], candidate.args[3],
-                        candidate.args[4]) in init_index:
-                    version_atom = candidate
-            extra_atoms = []
-            for attr in EXTRA_ATTRS:
-                value = getattr(config, attr)
-                if isinstance(value, str):
-                    atom_args_key = (f"has_{attr}", token,
-                                     f"{_EXTRA_PREFIX[attr]}-{sanitize_value(value)}")
-                    if atom_args_key in init_index:
-                        extra_atoms.append(Atom(f"has_{attr}", (
-                            host_var, token, atom_args_key[2])))
+            present = [atom for atom in _config_atoms(host_var, token, config,
+                                                      split_version(config.version))
+                       if (atom.name,) + atom.args[1:] in init_index]
+            versions = [atom for atom in present if atom.name == "has_version"]
+            extra_atoms = [atom for atom in present if atom.name != "has_version"]
             signature = tuple(a.render() for a in extra_atoms)
             key = (token, signature)
             entry = grouped.setdefault(key, {
@@ -352,10 +346,10 @@ def _config_clauses(record: ExploitRecord, matches, host_var: str, init_index: s
                 "versions": set(),
                 "unconstrained": False,
             })
-            if version_atom is None:
-                entry["unconstrained"] = True
+            if versions:
+                entry["versions"].update(versions)
             else:
-                entry["versions"].add(version_atom)
+                entry["unconstrained"] = True
 
     out = {}
     for key, entry in sorted(grouped.items()):
@@ -380,6 +374,7 @@ def _exploit_schema(record: ExploitRecord, name: str, config_clauses) -> ActionS
             parameters=(("?host", "host"), ("?agent", "agent")),
             precondition=tuple(precondition),
             effects=(Atom("is_compromised", ("?host", "?agent", cls.acquired.pddl_name)),),
+            record_id=record.id,
         )
 
     token = config_clauses[0][0].args[1]  # has_product argument
@@ -398,6 +393,7 @@ def _exploit_schema(record: ExploitRecord, name: str, config_clauses) -> ActionS
         parameters=(("?local_host", "host"), ("?remote_host", "host"), ("?agent", "agent")),
         precondition=tuple(precondition),
         effects=(Atom("is_compromised", ("?remote_host", "?agent", cls.acquired.pddl_name)),),
+        record_id=record.id,
     )
 
 
@@ -414,11 +410,13 @@ def emit_domain(relevant: RelevanceResult, matrix: ExploitMatrix,
     sets) yields one action per group, suffixed deterministically.
     """
     if not relevant.relevant:
-        raise EmptyDomain("no relevant exploit for this network")
+        raise EmptyDomain("no relevant exploit for this network", relevant)
 
-    problem = emit_problem(net)
-    init_index = {(a.name,) + a.args[1:] for a in problem.init
-                  if a.name.startswith("has_")}
+    # the problem's configuration facts, with the host dropped
+    init_index = {(fact.name,) + fact.args[1:]
+                  for host in net.hosts for instance in host.products
+                  for fact in _config_atoms(host.name, product_token(instance.cpe),
+                                            instance.cpe, instance.version)}
 
     registry = _IdentRegistry()
     actions = _connect_schemas()
@@ -454,17 +452,13 @@ def emit_domain(relevant: RelevanceResult, matrix: ExploitMatrix,
     )
 
 
-def resolve_exploit_action(action_name: str, matrix: ExploitMatrix) -> ExploitRecord:
-    """Map an emitted exploit action name back to its catalog record."""
-    by_name = {sanitize_action_name(r.id): r for r in matrix}
-    if action_name in by_name:
-        return by_name[action_name]
-    stripped = re.sub(r"_\d+$", "", action_name)
-    for candidate in (action_name, stripped):
-        base = candidate.rsplit("__", 1)[0]
-        if base in by_name:
-            return by_name[base]
-    raise UnknownExploit(f"action {action_name!r} matches no catalog record")
+def resolve_exploit_action(record_id: str | None, matrix: ExploitMatrix) -> ExploitRecord:
+    """The catalog record an exploit action was emitted from, by the record
+    id its schema carries (None for schemas parsed from text)."""
+    try:
+        return matrix.record(record_id)
+    except KeyError:
+        raise UnknownExploit(f"no catalog record {record_id!r}") from None
 
 
 # --- text emission ---------------------------------------------------------
@@ -705,6 +699,7 @@ def _parse_action(nodes) -> ActionSchema:
         parameters=parameters,
         precondition=precondition,
         effects=_parse_effects(fields[":effect"]),
+        record_id=None,
     )
 
 

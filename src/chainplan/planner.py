@@ -15,7 +15,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import (
@@ -27,11 +27,9 @@ from .errors import (
     TypeMismatch,
     UnknownActionId,
 )
-from .pddlgen import CONNECT_ACTIONS, Atom, PddlDocument, parse_pddl, parse_plan
+from .pddlgen import CONNECT_ACTIONS, Atom, PddlDocument, PlanFile, parse_pddl, parse_plan
 
 logger = logging.getLogger(__name__)
-
-_CONNECTED_PREDS = ("TCP_connected", "UDP_connected")
 
 
 def atom_str(name: str, args) -> str:
@@ -48,7 +46,7 @@ class GroundAction:
 
     name: str
     args: tuple[str, ...]
-    source: tuple[str, str]  # ("exploit", schema name) | ("connect", "tcp"/"udp")
+    source: tuple[str, str | None]  # ("exploit", record id) | ("connect", "tcp"/"udp")
     precondition: tuple[frozenset[str], ...]
     effects: tuple[str, ...]
 
@@ -68,7 +66,8 @@ class PlanningTask:
     _by_id: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {a.id: a for a in self.actions})
+        if not self._by_id:
+            object.__setattr__(self, "_by_id", {a.id: a for a in self.actions})
 
     def action(self, action_id: str) -> GroundAction:
         try:
@@ -76,8 +75,12 @@ class PlanningTask:
         except KeyError:
             raise UnknownActionId(f"unknown action {action_id!r}") from None
 
-    def has_action(self, action_id: str) -> bool:
-        return action_id in self._by_id
+    def with_goal(self, goal_atoms) -> "PlanningTask":
+        """The same task with another goal. Grounding does not depend on the
+        goal, so actions, init and the id index are shared, not rebuilt."""
+        goal = frozenset(goal_atoms)
+        return replace(self, goal=goal, atoms=tuple(sorted(set(self.atoms) | goal)),
+                       _by_id=self._by_id)
 
     @property
     def exploit_actions(self) -> tuple[GroundAction, ...]:
@@ -109,10 +112,10 @@ def exploit_key(task: PlanningTask, plan: Plan) -> frozenset:
 
 # --- grounding -----------------------------------------------------------------
 
-def _schema_source(name: str) -> tuple[str, str]:
-    if name in CONNECT_ACTIONS:
-        return ("connect", CONNECT_ACTIONS[name].value.lower())
-    return ("exploit", name)
+def _schema_source(schema) -> tuple[str, str | None]:
+    if schema.name in CONNECT_ACTIONS:
+        return ("connect", CONNECT_ACTIONS[schema.name].value.lower())
+    return ("exploit", schema.record_id)
 
 
 def _check_schema_types(schema, predicates, object_types):
@@ -265,7 +268,7 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
     actions: list[GroundAction] = []
     for schema in domain.actions:
         _check_schema_types(schema, predicates, object_types)
-        source = _schema_source(schema.name)
+        source = _schema_source(schema)
         for binding in _bindings(schema, fluents, facts, objects_by_type):
             if source[0] == "connect" and \
                     binding.get("?local_host") == binding.get("?remote_host"):
@@ -303,8 +306,7 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
             ))
 
     # connection atoms are achievable only through init or a connect action
-    achievable = {a for a in init_set if a.startswith("(TCP_connected ")
-                  or a.startswith("(UDP_connected ")}
+    achievable = {a for a in init_set if _is_connected_atom(a)}
     for action in actions:
         if action.source[0] == "connect":
             achievable.update(action.effects)
@@ -313,7 +315,7 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
         for clause in action.precondition:
             possible = False
             for atom in clause:
-                if atom.startswith("(TCP_connected ") or atom.startswith("(UDP_connected "):
+                if _is_connected_atom(atom):
                     if atom in achievable:
                         possible = True
                         break
@@ -362,6 +364,22 @@ def applicable_actions(task: PlanningTask, state) -> list[GroundAction]:
 
 
 # --- plan validation ----------------------------------------------------------
+
+def match_plan(task: PlanningTask, parsed: PlanFile) -> Plan:
+    """Resolve plan-file steps to action ids, ignoring case.
+
+    Raises UnknownActionId naming the first step that matches no action.
+    """
+    by_lower = {a.id.lower(): a.id for a in task.actions}
+    steps = []
+    for step in parsed.steps:
+        text = " ".join((step.name,) + step.args)
+        action_id = by_lower.get(text.lower())
+        if action_id is None:
+            raise UnknownActionId(f"unknown action {text!r}")
+        steps.append(action_id)
+    return Plan(steps=tuple(steps))
+
 
 @dataclass(frozen=True)
 class PlanCheck:
@@ -638,7 +656,6 @@ def run_external(domain_path, problem_path, config: ExternalPlannerConfig) -> li
     domain_text = Path(domain_path).read_text(encoding="utf-8")
     problem_text = Path(problem_path).read_text(encoding="utf-8")
     task = ground(parse_pddl(domain_text), parse_pddl(problem_text))
-    by_lower_id = {a.id.lower(): a for a in task.actions}
 
     with tempfile.TemporaryDirectory(prefix="chainplan-") as tmp:
         workdir = Path(tmp)
@@ -674,17 +691,10 @@ def run_external(domain_path, problem_path, config: ExternalPlannerConfig) -> li
         plans = []
         for plan_path in files:
             parsed = parse_plan(plan_path.read_text(encoding="utf-8"))
-            step_ids = []
-            for step in parsed.steps:
-                key = " ".join((step.name,) + step.args).lower()
-                action = by_lower_id.get(key)
-                if action is None:
-                    raise InvalidExternalPlan(
-                        f"{plan_path.name}: unknown action "
-                        f"{' '.join((step.name,) + step.args)!r}"
-                    )
-                step_ids.append(action.id)
-            plan = Plan(steps=tuple(step_ids))
+            try:
+                plan = match_plan(task, parsed)
+            except UnknownActionId as exc:
+                raise InvalidExternalPlan(f"{plan_path.name}: {exc}") from None
             verdict = check_plan(task, plan)
             if not verdict:
                 raise InvalidExternalPlan(f"{plan_path.name}: {verdict.reason}")

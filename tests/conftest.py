@@ -5,15 +5,13 @@ import pytest
 from chainplan import (
     ExploitMatrix,
     ExploitRecord,
-    ground,
+    compile_network,
     load_catalog,
     load_network,
     network_from_dict,
     parse_cpe,
     records_from_dict,
-    select_relevant_exploits,
 )
-from chainplan.pddlgen import emit_domain, emit_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -44,11 +42,9 @@ def bpf_matrix():
 
 
 def build_task(net, matrix):
-    """Relevance -> emit -> ground, returning (domain, problem, task)."""
-    relevance = select_relevant_exploits(net, matrix)
-    domain = emit_domain(relevance, matrix, net)
-    problem = emit_problem(net)
-    return domain, problem, ground(domain, problem)
+    """The compiled (domain, problem, task) of a network and catalog."""
+    compiled = compile_network(net, matrix)
+    return compiled.domain, compiled.problem, compiled.task
 
 
 @pytest.fixture(scope="session")

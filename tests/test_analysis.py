@@ -1,4 +1,5 @@
 import json
+import statistics
 
 import pytest
 
@@ -6,6 +7,7 @@ from chainplan import (
     ExploitMatrix,
     PrivilegeLevel,
     exploit_key,
+    network_from_dict,
     records_from_dict,
 )
 from chainplan.analysis import (
@@ -99,6 +101,99 @@ class TestChainReport:
         assert payload["chain_length_exploits"] == 3
         assert payload["steps"][1]["privilege_after"] == "LOW"
         json.dumps(payload)
+
+
+def _provenance_pair():
+    """``dual`` matches two products, so its schemas are named
+    ``dual__a--v--alpha`` and ``dual__a--v--beta``; a second, irrelevant
+    record has exactly the first of those names as its id."""
+    net = network_from_dict({
+        "name": "provenance",
+        "subnets": ["z"],
+        "hosts": [
+            {"name": "a0", "subnets": ["z"], "products": []},
+            {"name": "h1", "subnets": ["z"], "products": [
+                {"cpe": "cpe:2.3:a:v:alpha:1.0.0:*:*:*:*:*:*:*", "tcp_listen": True},
+                {"cpe": "cpe:2.3:a:v:beta:1.0.0:*:*:*:*:*:*:*", "tcp_listen": True}]},
+        ],
+        "scenario": {"attacker_host": "a0", "goal_host": "h1", "goal_privilege": "LOW"},
+    })
+    base = {"source": "other", "description": "d", "cves": [], "cvss_vectors": []}
+    matrix = ExploitMatrix(tuple(records_from_dict({"records": [
+        {**base, "id": "dual", "name": "dual", "class": "RCE_TCP_N_L",
+         "vulnerable_configs": ["cpe:2.3:a:v:alpha:1.0.0:*:*:*:*:*:*:*",
+                                "cpe:2.3:a:v:beta:1.0.0:*:*:*:*:*:*:*"]},
+        {**base, "id": "dual__a--v--alpha", "name": "impostor", "class": "RCE_TCP_N_H",
+         "vulnerable_configs": ["cpe:2.3:o:microsoft:windows:10:*:*:*:*:*:*:*"]},
+    ]})))
+    return net, matrix
+
+
+class TestProvenance:
+    def test_steps_credit_the_record_that_emitted_them(self):
+        net, matrix = _provenance_pair()
+        search = find_chains(net, matrix, k=13)
+        assert len(search.plans) == 2
+        for plan in search.plans:
+            steps = to_chain_report(plan, search.task, matrix).to_dict()["steps"]
+            exploits = [s for s in steps if s["kind"] != "connect"]
+            assert len(exploits) == 1
+            for step in exploits:
+                assert step["exploit_id"] == "dual"
+                assert step["exploit_name"] == "dual"
+                assert step["privilege_after"] == "LOW"
+
+
+_LEVELS = (PrivilegeLevel.LOW, PrivilegeLevel.HIGH, PrivilegeLevel.ROOT)
+
+
+def _reference_sweep(net, matrix, k, max_expansions=20_000):
+    """A full compile and search per (host, level), then the shortest k of
+    the minimal exploit sets of the union, as a --no-meta sweep dict."""
+    per_host = {}
+    for host in sorted(net.host_names()):
+        if host == net.scenario.attacker_host:
+            continue
+        keys = set()
+        for level in _LEVELS:
+            search = find_chains(net.with_goal(host, level), matrix, k,
+                                 max_expansions=max_expansions)
+            keys |= {exploit_key(search.task, plan) for plan in search.plans}
+        minimal = [key for key in keys if not any(other < key for other in keys)]
+        kept = sorted(minimal, key=len)[:k]
+        per_host[host] = {
+            "plans": len(kept),
+            "mean_chain_length": statistics.fmean(len(key) for key in kept)
+            if kept else 0.0,
+        }
+    return {"per_host": per_host,
+            "total": sum(row["plans"] for row in per_host.values())}
+
+
+class TestSweepEquivalence:
+    @pytest.mark.parametrize("k", [1, 13])
+    def test_motivating(self, motivating_network, motivating_matrix, bpf_matrix, k):
+        for matrix in (motivating_matrix, bpf_matrix):
+            result = sweep_targets(motivating_network, matrix, k=k)
+            assert result.to_dict(include_timing=False) == \
+                _reference_sweep(motivating_network, matrix, k)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_fixtures(self, seed):
+        net, matrix = fixture_pair(seed)
+        result = sweep_targets(net, matrix, k=13)
+        assert result.to_dict(include_timing=False) == _reference_sweep(net, matrix, 13)
+
+    def test_empty_domain_reports_zero_per_host(self, motivating_network):
+        matrix = ExploitMatrix(tuple(records_from_dict({"records": [{
+            "id": "smb", "name": "smb", "source": "other", "description": "d",
+            "cves": [], "cvss_vectors": [], "class": "RCE_TCP_N_H",
+            "vulnerable_configs": ["cpe:2.3:a:microsoft:smb:1.0:*:*:*:*:*:*:*"],
+        }]})))
+        result = sweep_targets(motivating_network, matrix, k=13)
+        assert result.to_dict(include_timing=False) == \
+            _reference_sweep(motivating_network, matrix, 13)
+        assert result.total == 0
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chainplan import cli, classifier, load_records, parse_pddl
 
 from conftest import FIXTURES, MOTIVATING_CHAIN, build_task
@@ -100,6 +102,20 @@ class TestPlan:
                                "--catalog", CATALOG, "--planner", "external",
                                "--config", str(config))
         assert code == 2
+
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    def test_bad_config_exits_1(self, capsys, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "plan", "--network", NETWORK,
+                                 "--catalog", CATALOG, "--planner", "external",
+                                 "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(config) in err
+        assert "Traceback" not in err
 
 
 class TestEmitPddl:

@@ -156,6 +156,7 @@ EXPECTED_COUCHDB = ActionSchema(
                               "ma2", "mi0", "pa0")),),
     ),
     effects=(Atom("is_compromised", ("?remote_host", "?agent", "HIGH_PRIVILEGES")),),
+    record_id="apache_couchdb_arbitrary_command_execution",
 )
 
 
@@ -266,10 +267,11 @@ class TestEmitDomain:
         }]})))
         relevance = select_relevant_exploits(net, matrix)
         domain = emit_domain(relevance, matrix, net)
-        names = sorted(a.name for a in domain.actions if a.name not in CONNECT_ACTIONS)
-        assert names == ["dual__a--v--alpha", "dual__a--v--beta"]
-        for name in names:
-            assert resolve_exploit_action(name, matrix).id == "dual"
+        exploits = sorted((a for a in domain.actions if a.name not in CONNECT_ACTIONS),
+                          key=lambda a: a.name)
+        assert [a.name for a in exploits] == ["dual__a--v--alpha", "dual__a--v--beta"]
+        for schema in exploits:
+            assert resolve_exploit_action(schema.record_id, matrix).id == "dual"
 
     def test_empty_domain(self, motivating_network, motivating_matrix):
         from chainplan.netmodel import RelevanceResult

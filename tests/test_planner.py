@@ -6,6 +6,7 @@ import pytest
 
 from chainplan import (
     ExploitMatrix,
+    PrivilegeLevel,
     apply,
     check_plan,
     exploit_key,
@@ -15,12 +16,14 @@ from chainplan import (
     is_applicable,
     records_from_dict,
 )
-from chainplan.pddlgen import parse_pddl, to_pddl
+from chainplan.netmodel import select_relevant_exploits
+from chainplan.pddlgen import compromised_atom, parse_pddl, parse_plan, to_pddl
 from chainplan.planner import (
     ExternalPlannerConfig,
     Plan,
     PlanningTask,
     applicable_actions,
+    match_plan,
     run_external,
 )
 from chainplan.errors import (
@@ -114,6 +117,49 @@ class TestGround:
           (:goal (p h1)))""")
         with pytest.raises(ArityMismatch):
             ground(domain, problem)
+
+
+    def test_exploit_source_names_the_record(self, motivating_task):
+        _, _, task = motivating_task
+        assert {a.source[1] for a in task.exploit_actions} == {
+            "drupal_restful_web_service",
+            "apache_couchdb_arbitrary_command_execution",
+            "linux_kernel_udp_fragmentation_offset_ufo_pe",
+        }
+
+    def test_parsed_documents_carry_no_record(self, motivating_task):
+        domain, problem, _ = motivating_task
+        task = ground(parse_pddl(to_pddl(domain)), parse_pddl(to_pddl(problem)))
+        assert {a.source[1] for a in task.exploit_actions} == {None}
+
+
+class TestWithGoal:
+    def test_shares_the_compiled_task(self, motivating_task):
+        _, _, task = motivating_task
+        goal = compromised_atom("web_server", PrivilegeLevel.LOW).render()
+        swapped = task.with_goal((goal,))
+        assert swapped.goal == {goal}
+        assert swapped.actions is task.actions
+        assert swapped.init is task.init
+        assert swapped._by_id is task._by_id
+        assert goal in swapped.atoms
+        assert task.goal == {"(is_compromised db_server agent ROOT_PRIVILEGES)"}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_a_recompiled_goal(self, seed):
+        net, matrix = fixture_pair(seed)
+        if not select_relevant_exploits(net, matrix).relevant:
+            pytest.skip("nothing relevant")
+        _, _, task = build_task(net, matrix)
+        targets = [h for h in net.host_names() if h != net.scenario.attacker_host]
+        for host in targets:
+            for level in (PrivilegeLevel.LOW, PrivilegeLevel.HIGH, PrivilegeLevel.ROOT):
+                _, _, expected = build_task(net.with_goal(host, level), matrix)
+                swapped = task.with_goal((compromised_atom(host, level).render(),))
+                assert swapped.goal == expected.goal
+                assert swapped.init == expected.init
+                assert swapped.actions == expected.actions
+                assert find_top_k(swapped, 20) == find_top_k(expected, 20)
 
 
 class TestApply:
@@ -282,6 +328,14 @@ class TestCheckPlan:
 
 
 # --- external planner adapter -------------------------------------------------
+
+
+class TestMatchPlan:
+    def test_reports_first_unknown_step(self, motivating_task):
+        _, _, task = motivating_task
+        parsed = parse_plan(f"({MOTIVATING_CHAIN[0]})\n(Ghost A b)\n(other x)\n")
+        with pytest.raises(UnknownActionId, match="unknown action 'Ghost A b'"):
+            match_plan(task, parsed)
 
 
 def _write_script(path, body):
