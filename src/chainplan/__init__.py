@@ -82,7 +82,6 @@ from .planner import (
 )
 from .analysis import (
     ChainReport,
-    CompiledNetwork,
     SensitivityResult,
     SweepResult,
     compile_network,

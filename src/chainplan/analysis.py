@@ -28,28 +28,21 @@ from .planner import Plan, PlanningTask, exploit_key, find_top_k, ground
 # --- pipeline -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompiledNetwork:
-    """A network and catalog compiled into PDDL documents and a ground task."""
-
-    relevance: RelevanceResult
-    domain: PddlDocument
-    problem: PddlDocument
-    task: PlanningTask
-
-
-def compile_network(net: NetworkSpec, matrix: ExploitMatrix) -> CompiledNetwork:
-    """Relevance -> domain and problem emission -> grounding.
-
-    Only the goal atom depends on the scenario's goal: retarget the compiled
-    task with ``PlanningTask.with_goal`` instead of compiling again. Raises
-    EmptyDomain, carrying the relevance result, when no exploit is relevant.
-    """
+def emit_documents(net: NetworkSpec, matrix: ExploitMatrix
+                   ) -> tuple[RelevanceResult, PddlDocument, PddlDocument]:
+    """Relevance, then the domain and problem documents. Raises EmptyDomain,
+    carrying the relevance result, when no exploit is relevant."""
     relevance = select_relevant_exploits(net, matrix)
-    domain = emit_domain(relevance, matrix, net)
-    problem = emit_problem(net)
-    return CompiledNetwork(relevance=relevance, domain=domain, problem=problem,
-                           task=ground(domain, problem))
+    return relevance, emit_domain(relevance, matrix, net), emit_problem(net)
+
+
+def compile_network(net: NetworkSpec, matrix: ExploitMatrix
+                    ) -> tuple[RelevanceResult, PddlDocument, PddlDocument, PlanningTask]:
+    """``emit_documents`` plus the ground task. Only the goal atom depends on
+    the scenario's goal: retarget with ``PlanningTask.with_goal`` instead of
+    compiling again."""
+    relevance, domain, problem = emit_documents(net, matrix)
+    return relevance, domain, problem, ground(domain, problem)
 
 
 @dataclass(frozen=True)
@@ -68,15 +61,13 @@ def find_chains(net: NetworkSpec, matrix: ExploitMatrix, k: int,
                 max_expansions: int = 100_000) -> ChainSearch:
     """Compile, then enumerate the top-k chains, in one call."""
     try:
-        compiled = compile_network(net, matrix)
+        relevance, domain, problem, task = compile_network(net, matrix)
     except EmptyDomain as exc:
         return ChainSearch(plans=(), task=None, relevance=exc.relevance,
                            domain=None, problem=None)
-    plans = find_top_k(compiled.task, k, max_len=max_len,
-                       max_expansions=max_expansions)
-    return ChainSearch(plans=tuple(plans), task=compiled.task,
-                       relevance=compiled.relevance, domain=compiled.domain,
-                       problem=compiled.problem)
+    plans = find_top_k(task, k, max_len=max_len, max_expansions=max_expansions)
+    return ChainSearch(plans=tuple(plans), task=task, relevance=relevance,
+                       domain=domain, problem=problem)
 
 
 # --- chain reports ----------------------------------------------------------------
@@ -140,13 +131,19 @@ def to_chain_report(plan: Plan, task: PlanningTask, matrix: ExploitMatrix) -> Ch
             continue
         record = resolve_exploit_action(action.source[1], matrix)
         cls = record.exploit_class
-        pe = cls.exploit_type is ExploitType.PE
-        steps.append(ChainStep(
-            action=step_id, kind="pe" if pe else "rce", from_host=action.args[0],
-            to_host=action.args[0] if pe else action.args[1],
-            protocol=None if pe else cls.protocol.value, exploit_id=record.id,
-            exploit_name=record.name, privilege_after=cls.acquired,
-        ))
+        if cls.exploit_type is ExploitType.PE:
+            steps.append(ChainStep(
+                action=step_id, kind="pe", from_host=action.args[0],
+                to_host=action.args[0], exploit_id=record.id,
+                exploit_name=record.name, privilege_after=cls.acquired,
+            ))
+        else:
+            steps.append(ChainStep(
+                action=step_id, kind="rce", from_host=action.args[0],
+                to_host=action.args[1], protocol=cls.protocol.value,
+                exploit_id=record.id, exploit_name=record.name,
+                privilege_after=cls.acquired,
+            ))
     exploit_count = sum(1 for s in steps if s.kind != "connect")
     return ChainReport(
         steps=tuple(steps),
@@ -197,20 +194,20 @@ def sweep_targets(net: NetworkSpec, matrix: ExploitMatrix, k: int,
     the minimal exploit sets of the union. Hosts with no chains are reported
     with a zero count; results are keyed and ordered by host name. The
     default search budget is modest because a sweep runs three searches per
-    host; raise it for exhaustive counts on dense networks.
+    host; raise it for exhaustive counts on dense networks. A host's
+    ``duration_s`` times its searches only, not the shared compile.
     """
     try:
-        task = compile_network(net, matrix).task
-    except EmptyDomain:
+        *_, task = compile_network(net, matrix)
+    except EmptyDomain:  # nothing relevant: every host reports zero chains
         task = None
-    levels = _SWEEP_LEVELS if task is not None else ()
     per_host = {}
     for host in sorted(net.host_names()):
         if host == net.scenario.attacker_host:
             continue
         start = time.perf_counter()
         keys: dict = {}
-        for level in levels:
+        for level in _SWEEP_LEVELS if task is not None else ():
             goal = compromised_atom(host, level).render()
             plans = find_top_k(task.with_goal((goal,)), k, max_len=max_len,
                                max_expansions=max_expansions)

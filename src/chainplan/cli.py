@@ -11,10 +11,8 @@ import argparse
 import json
 import logging
 import os
-import statistics
 import sys
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,7 +21,7 @@ from .catalog import PrivilegeLevel, load_catalog, load_records, save_records
 from .errors import ChainplanError, PlannerTimeout, SchemaError, UnknownActionId
 from .netmodel import load_network
 from .pddlgen import to_pddl, parse_plan
-from .planner import ExternalPlannerConfig, check_plan, match_plan, run_external
+from .planner import ExternalPlannerConfig, check_plan, ground, match_plan, run_external
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +52,8 @@ def _print_json(payload: dict) -> None:
 
 
 def _meta() -> dict:
+    import time
+
     return {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": "chainplan"}
 
 
@@ -120,11 +120,10 @@ def cmd_classify(args) -> int:
 
 def cmd_emit_pddl(args) -> int:
     _require(args, "network", "catalog")
-    compiled = analysis.compile_network(load_network(args.network),
-                                        load_catalog(args.catalog))
-    relevance = compiled.relevance
-    domain_text = to_pddl(compiled.domain)
-    problem_text = to_pddl(compiled.problem)
+    relevance, domain, problem = analysis.emit_documents(load_network(args.network),
+                                                         load_catalog(args.catalog))
+    domain_text = to_pddl(domain)
+    problem_text = to_pddl(problem)
     if args.stdout:
         print(domain_text, end="")
         print(problem_text, end="")
@@ -200,14 +199,16 @@ def cmd_plan(args) -> int:
             timeout_s=float(external.get("timeout_s", 300.0)),
             plan_glob=external.get("plan_glob", "plan*"),
         )
-        compiled = analysis.compile_network(net, matrix)
+        relevance, domain, problem = analysis.emit_documents(net, matrix)
         with tempfile.TemporaryDirectory(prefix="chainplan-cli-") as tmp:
             domain_path = Path(tmp) / "domain.pddl"
             problem_path = Path(tmp) / "problem.pddl"
-            domain_path.write_text(to_pddl(compiled.domain), encoding="utf-8")
-            problem_path.write_text(to_pddl(compiled.problem), encoding="utf-8")
+            domain_path.write_text(to_pddl(domain), encoding="utf-8")
+            problem_path.write_text(to_pddl(problem), encoding="utf-8")
             plans = run_external(domain_path, problem_path, config)
-        relevance, task = compiled.relevance, compiled.task
+        # the reports need the record ids, which the task run_external grounds
+        # from the written text does not carry; ground only once plans are in
+        task = ground(domain, problem)
     else:
         search = analysis.find_chains(net, matrix, args.k, max_len=args.max_len,
                                       max_expansions=args.max_expansions)
@@ -234,6 +235,8 @@ def cmd_sweep(args) -> int:
     first = results[0]
     payload = first.to_dict(include_timing=not args.no_meta)
     if args.runs > 1 and not args.no_meta:
+        import statistics
+
         for host in payload["per_host"]:
             samples = [r.per_host[host].duration_s for r in results]
             payload["per_host"][host]["duration_s"] = statistics.fmean(samples)
@@ -257,7 +260,10 @@ def cmd_sensitivity(args) -> int:
     net = load_network(args.network)
     matrix = load_catalog(args.catalog)
     durations = []
+    result = None
     for _ in range(max(1, args.runs)):
+        import time
+
         start = time.perf_counter()
         result = analysis.privilege_sensitivity(
             net, matrix, args.k, max_len=args.max_len,
@@ -265,6 +271,8 @@ def cmd_sensitivity(args) -> int:
         durations.append(time.perf_counter() - start)
     payload = result.to_dict()
     if args.runs > 1 and not args.no_meta:
+        import statistics
+
         payload["duration_s"] = statistics.fmean(durations)
         payload["duration_std_s"] = statistics.stdev(durations)
         payload["runs"] = args.runs
@@ -285,7 +293,7 @@ def cmd_sensitivity(args) -> int:
 def cmd_validate_plan(args) -> int:
     _require(args, "network", "catalog")
     net = _retarget(load_network(args.network), args)
-    task = analysis.compile_network(net, load_catalog(args.catalog)).task
+    *_, task = analysis.compile_network(net, load_catalog(args.catalog))
     parsed = parse_plan(Path(args.plan).read_text(encoding="utf-8"))
     try:
         plan = match_plan(task, parsed)

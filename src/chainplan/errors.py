@@ -89,8 +89,7 @@ class UnsupportedFeature(ChainplanError):
 
 
 class EmptyDomain(ChainplanError):
-    """No exploit in the catalog is relevant to the network; ``relevance``
-    is the empty selection, for callers that report it."""
+    """No exploit in the catalog is relevant to the network (``relevance``)."""
 
     def __init__(self, message: str, relevance):
         super().__init__(message)

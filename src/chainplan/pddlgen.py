@@ -98,13 +98,12 @@ Clause = tuple[Atom, ...]
 
 @dataclass(frozen=True)
 class ActionSchema:
-    """``record_id`` names the catalog record an exploit schema was emitted
-    from (None for connect schemas and parsed text); never rendered or compared."""
-
     name: str
     parameters: tuple[tuple[str, str], ...]  # (?var, type)
     precondition: tuple[Clause, ...]
     effects: tuple[Atom, ...]
+    # the catalog record an exploit schema came from; None for connect schemas
+    # and parsed text. Never rendered, ignored by equality.
     record_id: str | None = field(compare=False)
 
 
@@ -455,6 +454,9 @@ def emit_domain(relevant: RelevanceResult, matrix: ExploitMatrix,
 def resolve_exploit_action(record_id: str | None, matrix: ExploitMatrix) -> ExploitRecord:
     """The catalog record an exploit action was emitted from, by the record
     id its schema carries (None for schemas parsed from text)."""
+    if record_id is None:
+        raise UnknownExploit("exploit action parsed from text has no catalog record "
+                             "id: report on a task grounded from emit_domain's output")
     try:
         return matrix.record(record_id)
     except KeyError:

@@ -76,11 +76,9 @@ class PlanningTask:
             raise UnknownActionId(f"unknown action {action_id!r}") from None
 
     def with_goal(self, goal_atoms) -> "PlanningTask":
-        """The same task with another goal. Grounding does not depend on the
-        goal, so actions, init and the id index are shared, not rebuilt."""
-        goal = frozenset(goal_atoms)
-        return replace(self, goal=goal, atoms=tuple(sorted(set(self.atoms) | goal)),
-                       _by_id=self._by_id)
+        """The same task with another goal. Grounding does not depend on it, so
+        atoms (the universe as grounded), actions, init and the id index are shared."""
+        return replace(self, goal=frozenset(goal_atoms), _by_id=self._by_id)
 
     @property
     def exploit_actions(self) -> tuple[GroundAction, ...]:
@@ -306,7 +304,8 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
             ))
 
     # connection atoms are achievable only through init or a connect action
-    achievable = {a for a in init_set if _is_connected_atom(a)}
+    achievable = {a for a in init_set if a.startswith("(TCP_connected ")
+                  or a.startswith("(UDP_connected ")}
     for action in actions:
         if action.source[0] == "connect":
             achievable.update(action.effects)
@@ -315,7 +314,7 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
         for clause in action.precondition:
             possible = False
             for atom in clause:
-                if _is_connected_atom(atom):
+                if atom.startswith("(TCP_connected ") or atom.startswith("(UDP_connected "):
                     if atom in achievable:
                         possible = True
                         break
@@ -366,10 +365,8 @@ def applicable_actions(task: PlanningTask, state) -> list[GroundAction]:
 # --- plan validation ----------------------------------------------------------
 
 def match_plan(task: PlanningTask, parsed: PlanFile) -> Plan:
-    """Resolve plan-file steps to action ids, ignoring case.
-
-    Raises UnknownActionId naming the first step that matches no action.
-    """
+    """Resolve plan-file steps to action ids, ignoring case. Raises
+    UnknownActionId naming the first step that matches no action."""
     by_lower = {a.id.lower(): a.id for a in task.actions}
     steps = []
     for step in parsed.steps:

@@ -43,8 +43,7 @@ def bpf_matrix():
 
 def build_task(net, matrix):
     """The compiled (domain, problem, task) of a network and catalog."""
-    compiled = compile_network(net, matrix)
-    return compiled.domain, compiled.problem, compiled.task
+    return compile_network(net, matrix)[1:]
 
 
 @pytest.fixture(scope="session")

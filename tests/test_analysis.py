@@ -18,7 +18,8 @@ from chainplan.analysis import (
     to_chain_report,
     transform_matrix,
 )
-from chainplan.planner import Plan
+from chainplan.pddlgen import parse_pddl, to_pddl
+from chainplan.planner import Plan, ground
 from chainplan.errors import UnknownExploit
 
 from conftest import FIXTURES, MOTIVATING_CHAIN, build_task, fixture_pair
@@ -93,6 +94,13 @@ class TestChainReport:
         ))[:1])
         with pytest.raises(UnknownExploit):
             to_chain_report(Plan(steps=MOTIVATING_CHAIN), task, thin)
+
+    def test_task_from_parsed_text_has_no_records(self, motivating_task,
+                                                  motivating_matrix):
+        domain, problem, _ = motivating_task
+        parsed = ground(parse_pddl(to_pddl(domain)), parse_pddl(to_pddl(problem)))
+        with pytest.raises(UnknownExploit, match="no catalog record id"):
+            to_chain_report(Plan(steps=MOTIVATING_CHAIN), parsed, motivating_matrix)
 
     def test_json_shape(self, motivating_task, motivating_matrix):
         _, _, task = motivating_task

@@ -142,7 +142,7 @@ class TestWithGoal:
         assert swapped.actions is task.actions
         assert swapped.init is task.init
         assert swapped._by_id is task._by_id
-        assert goal in swapped.atoms
+        assert swapped.atoms is task.atoms
         assert task.goal == {"(is_compromised db_server agent ROOT_PRIVILEGES)"}
 
     @pytest.mark.parametrize("seed", range(8))
