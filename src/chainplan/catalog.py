@@ -443,6 +443,11 @@ def _require(obj: dict, key: str, kind, pointer: str):
     return value
 
 
+def _optional(obj: dict, key: str, kind, pointer: str):
+    """``obj[key]``, or an empty ``kind`` when absent; it must be a ``kind``."""
+    return _require(obj, key, kind, pointer) if key in obj else kind()
+
+
 def _record_from_json(obj: dict, pointer: str) -> ExploitRecord:
     if not isinstance(obj, dict):
         raise SchemaError("record must be an object", pointer)
@@ -452,21 +457,21 @@ def _record_from_json(obj: dict, pointer: str) -> ExploitRecord:
     description = _require(obj, "description", str, pointer)
 
     cve_ids, cve_texts = [], []
-    for i, cve in enumerate(obj.get("cves", [])):
+    for i, cve in enumerate(_optional(obj, "cves", list, pointer)):
         if not isinstance(cve, dict):
             raise SchemaError("cve entry must be an object", f"{pointer}/cves/{i}")
         cve_id = _require(cve, "id", str, f"{pointer}/cves/{i}")
         if not CVE_ID_RE.fullmatch(cve_id):
             raise SchemaError(f"malformed CVE id {cve_id!r}", f"{pointer}/cves/{i}/id")
         cve_ids.append(cve_id)
-        cve_texts.append(cve.get("description", ""))
+        cve_texts.append(_optional(cve, "description", str, f"{pointer}/cves/{i}"))
 
     vectors = obj.get("cvss_vectors", [])
     if not isinstance(vectors, list) or not all(isinstance(v, str) for v in vectors):
         raise SchemaError("cvss_vectors must be a list of strings", f"{pointer}/cvss_vectors")
 
     configs = []
-    for i, uri in enumerate(obj.get("vulnerable_configs", [])):
+    for i, uri in enumerate(_optional(obj, "vulnerable_configs", list, pointer)):
         if not isinstance(uri, str):
             raise SchemaError("config must be a CPE string", f"{pointer}/vulnerable_configs/{i}")
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -185,20 +186,34 @@ def _retarget(net, args):
     return net
 
 
+def _external_config(path: str | None) -> ExternalPlannerConfig:
+    """The config file's ``external`` section, type-checked."""
+    external = _load_config(path).get("external", {})
+    if not isinstance(external, dict):
+        raise SchemaError(f"must be an object in config {path}", "/external")
+    if "command" not in external:
+        raise ChainplanError("external planner requires config key external.command")
+    for key in ("command", "plan_glob"):
+        if not isinstance(external.get(key, ""), str):
+            raise SchemaError(f"must be a string in config {path}", f"/external/{key}")
+    timeout_s = external.get("timeout_s", 300.0)
+    if isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float)) \
+            or not 0 < timeout_s < math.inf:
+        raise SchemaError(f"must be a positive number in config {path}", "/external/timeout_s")
+    return ExternalPlannerConfig(
+        command=external["command"],
+        timeout_s=float(timeout_s),
+        plan_glob=external.get("plan_glob", "plan*"),
+    )
+
+
 def cmd_plan(args) -> int:
     _require(args, "network", "catalog")
     net = _retarget(load_network(args.network), args)
     matrix = load_catalog(args.catalog)
 
     if args.planner == "external":
-        external = _load_config(args.config).get("external", {})
-        if "command" not in external:
-            raise ChainplanError("external planner requires config key external.command")
-        config = ExternalPlannerConfig(
-            command=external["command"],
-            timeout_s=float(external.get("timeout_s", 300.0)),
-            plan_glob=external.get("plan_glob", "plan*"),
-        )
+        config = _external_config(args.config)
         relevance, domain, problem = analysis.emit_documents(net, matrix)
         with tempfile.TemporaryDirectory(prefix="chainplan-cli-") as tmp:
             domain_path = Path(tmp) / "domain.pddl"

@@ -24,7 +24,7 @@ from .catalog import (
     product_token,
     split_version,
 )
-from .errors import DanglingReference, SchemaError, UnknownHost
+from .errors import DanglingReference, SchemaError, UnknownClass, UnknownHost
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _RESERVED_NAMES = {"agent"} | {p.pddl_name.lower() for p in PrivilegeLevel}
@@ -185,6 +185,29 @@ def _resolve_listen(host_name: str, tokens, products, pointer: str) -> list[Prod
     return resolved
 
 
+def _typed(obj: dict, key: str, kind, default, pointer: str, what: str):
+    """``obj[key]`` (or ``default``) if it is a ``kind``; SchemaError otherwise."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key} must be {what}", f"{pointer}/{key}")
+    return value
+
+
+def _names(obj: dict, key: str, pointer: str) -> list:
+    value = _typed(obj, key, list, [], pointer, "a list of names")
+    if not all(isinstance(item, str) for item in value):
+        raise SchemaError(f"{key} must be a list of names", f"{pointer}/{key}")
+    return value
+
+
+def _privilege(obj: dict, key: str) -> PrivilegeLevel:
+    text = _typed(obj, key, str, "ROOT", "/scenario", "a privilege level name")
+    try:
+        return PrivilegeLevel.parse(text)
+    except UnknownClass as exc:
+        raise SchemaError(str(exc), f"/scenario/{key}") from None
+
+
 def network_from_dict(data: dict) -> NetworkSpec:
     """Validate and build a NetworkSpec from a decoded network document."""
     if not isinstance(data, dict):
@@ -192,17 +215,17 @@ def network_from_dict(data: dict) -> NetworkSpec:
     for key in ("subnets", "hosts", "scenario"):
         if key not in data:
             raise SchemaError(f"missing required key {key!r}", f"/{key}")
-    subnets = data["subnets"]
-    if not isinstance(subnets, list) or not all(isinstance(s, str) for s in subnets):
-        raise SchemaError("subnets must be a list of names", "/subnets")
+    subnets = _names(data, "subnets", "")
 
     hosts = []
-    for i, obj in enumerate(data["hosts"]):
+    for i, obj in enumerate(_typed(data, "hosts", list, [], "", "a list of host objects")):
         pointer = f"/hosts/{i}"
         if not isinstance(obj, dict) or "name" not in obj:
             raise SchemaError("host entry must be an object with a 'name'", pointer)
+        _typed(obj, "name", str, "", pointer, "a string")
         products, tcp, udp = [], [], []
-        for j, product_obj in enumerate(obj.get("products", [])):
+        for j, product_obj in enumerate(_typed(obj, "products", list, [], pointer,
+                                               "a list of product objects")):
             instance, tcp_flag, udp_flag = _product_from_json(
                 product_obj, f"{pointer}/products/{j}"
             )
@@ -211,13 +234,13 @@ def network_from_dict(data: dict) -> NetworkSpec:
                 tcp.append(instance)
             if udp_flag:
                 udp.append(instance)
-        tcp += _resolve_listen(obj["name"], obj.get("tcp_listen", []), products,
+        tcp += _resolve_listen(obj["name"], _names(obj, "tcp_listen", pointer), products,
                                f"{pointer}/tcp_listen")
-        udp += _resolve_listen(obj["name"], obj.get("udp_listen", []), products,
+        udp += _resolve_listen(obj["name"], _names(obj, "udp_listen", pointer), products,
                                f"{pointer}/udp_listen")
         hosts.append(Host(
             name=obj["name"],
-            subnets=tuple(obj.get("subnets", [])),
+            subnets=tuple(_names(obj, "subnets", pointer)),
             products=tuple(products),
             tcp_listen=tuple(dict.fromkeys(tcp)),
             udp_listen=tuple(dict.fromkeys(udp)),
@@ -229,22 +252,25 @@ def network_from_dict(data: dict) -> NetworkSpec:
     for key in ("attacker_host", "goal_host"):
         if key not in scenario_obj:
             raise SchemaError(f"missing required key {key!r}", f"/scenario/{key}")
+        _typed(scenario_obj, key, str, "", "/scenario", "a host name")
     scenario = Scenario(
         attacker_host=scenario_obj["attacker_host"],
         goal_host=scenario_obj["goal_host"],
-        attacker_privilege=PrivilegeLevel.parse(scenario_obj.get("attacker_privilege", "ROOT")),
-        goal_privilege=PrivilegeLevel.parse(scenario_obj.get("goal_privilege", "ROOT")),
+        attacker_privilege=_privilege(scenario_obj, "attacker_privilege"),
+        goal_privilege=_privilege(scenario_obj, "goal_privilege"),
     )
 
     channels = []
-    for i, pair in enumerate(data.get("trusted_channels", [])):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SchemaError("trusted channel must be a [src, dst] pair",
+    for i, pair in enumerate(_typed(data, "trusted_channels", list, [], "",
+                                    "a list of [src, dst] pairs")):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(name, str) for name in pair)):
+            raise SchemaError("trusted channel must be a [src, dst] pair of host names",
                               f"/trusted_channels/{i}")
         channels.append((pair[0], pair[1]))
 
     return NetworkSpec(
-        name=data.get("name", "network"),
+        name=_typed(data, "name", str, "network", "", "a string"),
         subnets=tuple(subnets),
         hosts=tuple(hosts),
         trusted_channels=tuple(channels),

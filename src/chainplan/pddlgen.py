@@ -597,22 +597,29 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _read_sexpr(tokens: list[_Token], pos: int):
-    if pos >= len(tokens):
-        raise PddlSyntaxError("unexpected end of input", 0, 0)
-    token = tokens[pos]
-    if token.text == "(":
-        items = []
+    """The s-expression starting at ``pos`` (a token, or a list of nodes) and
+    the position after it. Iterative, so nesting depth is not bounded by the
+    interpreter's recursion limit."""
+    open_lists: list[tuple[_Token, list]] = []  # (opening parenthesis, items so far)
+    while pos < len(tokens):
+        token = tokens[pos]
         pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise PddlSyntaxError("unbalanced parenthesis", token.line, token.column)
-            if tokens[pos].text == ")":
-                return items, pos + 1
-            item, pos = _read_sexpr(tokens, pos)
-            items.append(item)
-    if token.text == ")":
-        raise PddlSyntaxError("unexpected ')'", token.line, token.column)
-    return token, pos + 1
+        if token.text == "(":
+            open_lists.append((token, []))
+            continue
+        if token.text == ")":
+            if not open_lists:
+                raise PddlSyntaxError("unexpected ')'", token.line, token.column)
+            node = open_lists.pop()[1]
+        else:
+            node = token
+        if not open_lists:
+            return node, pos
+        open_lists[-1][1].append(node)
+    if open_lists:
+        opening = open_lists[-1][0]
+        raise PddlSyntaxError("unbalanced parenthesis", opening.line, opening.column)
+    raise PddlSyntaxError("unexpected end of input", 0, 0)
 
 
 def _expect_symbol(node, context: str) -> _Token:
@@ -622,6 +629,8 @@ def _expect_symbol(node, context: str) -> _Token:
 
 
 def _parse_typed_list(nodes, context: str) -> tuple[tuple[str, str], ...]:
+    if isinstance(nodes, _Token):
+        raise PddlSyntaxError(f"expected a list in {context}", nodes.line, nodes.column)
     out = []
     pending: list[str] = []
     i = 0
@@ -717,6 +726,9 @@ def parse_pddl(text: str) -> PddlDocument:
     if not (isinstance(sexpr, list) and sexpr
             and isinstance(sexpr[0], _Token) and sexpr[0].text == "define"):
         raise PddlSyntaxError("document must start with (define ...)", 1, 1)
+    if len(sexpr) < 2:
+        raise PddlSyntaxError("missing (domain ...) or (problem ...) header",
+                              sexpr[0].line, sexpr[0].column)
     header = sexpr[1]
     if not (isinstance(header, list) and len(header) == 2):
         raise PddlSyntaxError("malformed (domain ...) or (problem ...) header", 1, 1)
@@ -759,6 +771,8 @@ def parse_pddl(text: str) -> PddlDocument:
                     raise PddlSyntaxError("malformed predicate", head.line, head.column)
                 pred_name = _expect_symbol(node[0], ":predicates").text
                 predicates.append((pred_name, _parse_typed_list(node[1:], pred_name)))
+        elif not body and head.text in (":action", ":domain"):
+            raise PddlSyntaxError(f"{head.text} needs a name", head.line, head.column)
         elif head.text == ":action":
             actions.append(_parse_action(body))
         elif head.text == ":domain":

@@ -415,22 +415,41 @@ def _is_connected_atom(atom: str) -> bool:
 
 
 def _saturate(task: PlanningTask) -> frozenset:
-    """Delete-free reachability fixpoint over all actions."""
+    """Delete-free reachability fixpoint over all actions.
+
+    One worklist pass: every action counts its clauses that init leaves
+    unsatisfied, and each atom watches the clauses it would satisfy. An
+    action fires once its count reaches zero.
+    """
     state = set(task.init)
-    pending = list(task.actions)
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for action in pending:
-            if all(clause & state for clause in action.precondition):
-                before = len(state)
-                state.update(action.effects)
-                if len(state) != before:
-                    changed = True
-            else:
-                remaining.append(action)
-        pending = remaining
+    unsatisfied: list[int] = []  # per action
+    owner: list[int] = []  # per watched clause: its action
+    watchers: dict[str, list[int]] = {}  # atom -> watched clauses
+    ready = []
+    for index, action in enumerate(task.actions):
+        count = 0
+        for clause in action.precondition:
+            if clause.isdisjoint(state):
+                for atom in clause:
+                    watchers.setdefault(atom, []).append(len(owner))
+                owner.append(index)
+                count += 1
+        unsatisfied.append(count)
+        if not count:
+            ready.append(index)
+    satisfied = [False] * len(owner)
+    while ready:
+        for effect in task.actions[ready.pop()].effects:
+            if effect in state:
+                continue
+            state.add(effect)
+            for clause in watchers.get(effect, ()):
+                if not satisfied[clause]:
+                    satisfied[clause] = True
+                    index = owner[clause]
+                    unsatisfied[index] -= 1
+                    if not unsatisfied[index]:
+                        ready.append(index)
     return frozenset(state)
 
 
@@ -439,22 +458,27 @@ def _relevant_action_ids(task: PlanningTask) -> set:
 
     An action outside the closure cannot contribute to any goal derivation,
     so a minimal plan never contains it; restricting enumeration to the
-    closure is lossless for minimal-plan enumeration.
+    closure is lossless for minimal-plan enumeration. One worklist pass over
+    an atom -> achievers index.
     """
+    achievers: dict[str, list[int]] = {}
+    for index, action in enumerate(task.actions):
+        for effect in action.effects:
+            achievers.setdefault(effect, []).append(index)
     relevant_atoms = set(task.goal)
-    relevant_ids: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for action in task.actions:
-            if action.id in relevant_ids:
+    pending = list(relevant_atoms)
+    relevant: set[int] = set()
+    while pending:
+        for index in achievers.get(pending.pop(), ()):
+            if index in relevant:
                 continue
-            if any(effect in relevant_atoms for effect in action.effects):
-                relevant_ids.add(action.id)
-                changed = True
-                for clause in action.precondition:
-                    relevant_atoms.update(clause)
-    return relevant_ids
+            relevant.add(index)
+            for clause in task.actions[index].precondition:
+                for atom in clause:
+                    if atom not in relevant_atoms:
+                        relevant_atoms.add(atom)
+                        pending.append(atom)
+    return {task.actions[index].id for index in relevant}
 
 
 class _Search:
@@ -466,93 +490,116 @@ class _Search:
     connection atom is missing. States are tracked as deltas over init.
     Only goal-relevant exploits are branched on; anything else cannot occur
     in a minimal plan.
+
+    The search runs on ints. The atoms that can enter a delta (the goal's,
+    and the clause atoms, connection needs and effects of the relevant
+    exploits) each get a bit, so a delta and a clause are masks; an
+    exploit set is a mask over the prepared exploits. Init atoms need no
+    bit: clauses that init satisfies are dropped. A step is the action's
+    rank in the id order of the actions a plan can hold, so heap entries
+    order and tie-break exactly as their id strings would.
     """
 
     def __init__(self, task: PlanningTask):
-        self.task = task
-        self.goal_missing = task.goal - task.init
-        self.goal_reachable = self.goal_missing <= _saturate(task)
+        init = task.init
+        missing = task.goal - init
+        self.goal_reachable = missing <= _saturate(task)
         relevant = _relevant_action_ids(task)
 
-        self.connects = []
-        for action in sorted(task.connect_actions, key=lambda a: (a.name, a.args)):
-            clauses = tuple(c for c in action.precondition if not c & task.init)
-            self.connects.append((action, clauses))
-        self.achievers: dict[str, list] = {}
-        for action, clauses in self.connects:
-            for effect in action.effects:
-                self.achievers.setdefault(effect, []).append((action, clauses))
-
-        self.prepared = []
+        exploits = []  # (id, clauses, connection needs, effects), as atoms
         for action in sorted(task.exploit_actions, key=lambda a: (a.name, a.args)):
-            if action.id not in relevant:
+            action_id = action.id
+            if action_id not in relevant:
                 continue
             clauses = []
             conn_needs = []
             for clause in action.precondition:
-                if clause & task.init:
+                if not clause.isdisjoint(init):
                     continue
                 if len(clause) == 1 and _is_connected_atom(next(iter(clause))):
                     conn_needs.append(next(iter(clause)))
-                    continue
-                clauses.append(clause)
-            self.prepared.append((action, tuple(clauses), tuple(conn_needs)))
+                else:
+                    clauses.append(clause)
+            effects = [e for e in action.effects if e not in init]
+            exploits.append((action_id, clauses, conn_needs, effects))
 
-        self.always = [item for item in self.prepared if not item[1]]
-        self.by_gate: dict[str, list] = {}
-        for item in self.prepared:
-            if item[1]:
-                for atom in item[1][0]:
-                    self.by_gate.setdefault(atom, []).append(item)
+        position: dict[str, int] = {}  # atom -> its bit
+        for atom in missing:
+            position.setdefault(atom, len(position))
+        for _, clauses, conn_needs, effects in exploits:
+            for atoms in (*clauses, conn_needs, effects):
+                for atom in atoms:
+                    position.setdefault(atom, len(position))
 
-    def candidates(self, delta: frozenset):
-        seen = set()
-        out = []
-        for item in self.always:
-            seen.add(item[0].id)
-            out.append(item)
-        for atom in delta:
-            for item in self.by_gate.get(atom, ()):
-                if item[0].id not in seen:
-                    seen.add(item[0].id)
-                    out.append(item)
-        out.sort(key=lambda item: (item[0].name, item[0].args))
-        return out
+        def mask(atoms) -> int:
+            # an atom without a bit never enters a delta, so it adds nothing
+            out = 0
+            for atom in atoms:
+                if atom in position:
+                    out |= 1 << position[atom]
+            return out
 
-    def realize(self, item, delta: frozenset):
+        needed = {atom for _, _, conn_needs, _ in exploits for atom in conn_needs}
+        achievers: dict[str, list] = {}  # needed atom -> [(id, clause masks)]
+        for action in sorted((a for a in task.connect_actions
+                              if not needed.isdisjoint(a.effects)),
+                             key=lambda a: (a.name, a.args)):
+            clauses = tuple(mask(c) for c in action.precondition if c.isdisjoint(init))
+            if all(clauses):  # an empty mask is a clause no delta satisfies
+                for effect in needed.intersection(action.effects):
+                    achievers.setdefault(effect, []).append((action.id, clauses))
+
+        self.goal = mask(missing)
+        self.ids = sorted({e[0] for e in exploits}
+                          | {c[0] for chain in achievers.values() for c in chain})
+        rank = {action_id: r for r, action_id in enumerate(self.ids)}
+        self.prepared = []  # (rank, clause masks, ((need mask, achievers), ...), effects)
+        self.always = 0  # exploits with no clause to gate on
+        self.by_gate = [0] * len(position)  # bit -> exploits whose first clause holds it
+        for index, (action_id, clauses, conn_needs, effects) in enumerate(exploits):
+            needs = tuple((mask((atom,)),
+                           tuple((rank[c], cc) for c, cc in achievers.get(atom, ())))
+                          for atom in conn_needs)
+            self.prepared.append((rank[action_id], tuple(mask(c) for c in clauses), needs,
+                                  mask(effects)))
+            if not clauses:
+                self.always |= 1 << index
+            for atom in clauses[0] if clauses else ():
+                self.by_gate[position[atom]] |= 1 << index
+
+    @staticmethod
+    def realize(clauses, needs, delta: int):
         """Connect insertions + applicability for one exploit in one state.
 
-        Returns (inserts, added_atoms) or None when inapplicable.
+        Returns (inserted ranks, added atom mask) or None when inapplicable.
         """
-        action, clauses, conn_needs = item
         for clause in clauses:
             if not clause & delta:
                 return None
-        inserts = []
-        added = []
-        for atom in conn_needs:
-            if atom in delta or atom in added:
+        inserts = ()
+        added = 0
+        for need, achievers in needs:
+            if need & (delta | added):
                 continue
-            chosen = None
-            for connect, connect_clauses in self.achievers.get(atom, ()):
-                if all(c & delta for c in connect_clauses):
-                    chosen = connect
+            for step, clauses in achievers:
+                if all(c & delta for c in clauses):
                     break
-            if chosen is None:
+            else:
                 return None
-            inserts.append(chosen)
-            added.append(atom)
+            inserts += (step,)
+            added |= need
         return inserts, added
 
     def run(self, k: int, max_len: int, max_expansions: int):
         if not self.goal_reachable:
             return []
+        goal, prepared, by_gate, realize = self.goal, self.prepared, self.by_gate, self.realize
         plans: list[Plan] = []
-        recorded: list[frozenset] = []
-        visited: set[frozenset] = set()
+        recorded: list[int] = []
+        visited: set[int] = set()
         counter = 0
         popped = 0
-        heap = [(0, (), counter, frozenset(), frozenset())]
+        heap = [(0, (), counter, 0, 0)]
         while heap and len(plans) < k:
             popped += 1
             if popped > max_expansions:
@@ -561,40 +608,46 @@ class _Search:
                     "raise max_expansions for exhaustive results", max_expansions,
                     len(plans))
                 break
-            cost, steps, _, exploit_set, delta = heapq.heappop(heap)
+            _, steps, _, exploit_set, delta = heapq.heappop(heap)
             if exploit_set in visited:
                 continue
             visited.add(exploit_set)
-            if self.goal_missing <= delta:
-                if not any(r <= exploit_set for r in recorded):
+            if delta & goal == goal:
+                if not any(r & exploit_set == r for r in recorded):
                     recorded.append(exploit_set)
-                    plans.append(Plan(steps=steps))
+                    plans.append(Plan(steps=tuple(self.ids[s] for s in steps)))
                 continue
-            if any(r <= exploit_set for r in recorded):
+            # what each recorded exploit set adds to this one: a child, one
+            # exploit more, is subsumed exactly when a record adds that alone
+            lacking = {r & ~exploit_set for r in recorded}
+            if 0 in lacking:
                 continue
-            for item in self.candidates(delta):
-                action = item[0]
-                if action.id in exploit_set:
+            candidates = self.always
+            gates = delta
+            while gates:  # bit loops are inlined: this is the hot path
+                low = gates & -gates
+                candidates |= by_gate[low.bit_length() - 1]
+                gates ^= low
+            candidates &= ~exploit_set
+            while candidates:  # lowest bit first, so in prepared order
+                flag = candidates & -candidates
+                candidates ^= flag
+                step, clauses, needs, effects = prepared[flag.bit_length() - 1]
+                if effects & delta == effects:  # the step is vacuous
                     continue
-                state_now = delta  # effects already present make the step vacuous
-                if all(e in state_now or e in self.task.init for e in action.effects):
-                    continue
-                realized = self.realize(item, delta)
+                realized = realize(clauses, needs, delta)
                 if realized is None:
                     continue
                 inserts, added = realized
-                child_steps = steps + tuple(c.id for c in inserts) + (action.id,)
+                child_steps = steps + inserts + (step,)
                 if len(child_steps) > max_len:
                     continue
-                child_set = exploit_set | {action.id}
-                if child_set in visited:
+                child_set = exploit_set | flag
+                if child_set in visited or flag in lacking:
                     continue
-                if any(r <= child_set for r in recorded):
-                    continue
-                child_delta = delta | set(added) | set(action.effects)
                 counter += 1
                 heapq.heappush(heap, (len(child_steps), child_steps, counter,
-                                      child_set, child_delta))
+                                      child_set, delta | added | effects))
         return plans
 
 

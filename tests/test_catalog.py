@@ -20,6 +20,7 @@ from chainplan import (
     load_records,
     parse_class_name,
     parse_cpe,
+    records_from_dict,
     split_version,
 )
 from chainplan.catalog import ExploitMatrix, ExploitRecord, product_token
@@ -264,6 +265,18 @@ class TestRecordsAndCatalog:
         with pytest.raises(SchemaError) as err:
             load_records(path)
         assert err.value.pointer == "/records/0/cves/0/id"
+
+    @pytest.mark.parametrize("key, value, pointer", [
+        ("cves", 5, "/records/0/cves"),
+        ("cves", [{"id": "CVE-2019-6340", "description": 5}], "/records/0/cves/0/description"),
+        ("vulnerable_configs", "cpe:2.3:a:x:y:1:*:*:*:*:*:*:*", "/records/0/vulnerable_configs"),
+    ])
+    def test_wrong_types_raise_schema_error(self, key, value, pointer):
+        data = json.loads((FIXTURES / "motivating_catalog.json").read_text())
+        data["records"][0][key] = value
+        with pytest.raises(SchemaError) as err:
+            records_from_dict(data)
+        assert err.value.pointer == pointer
 
     def test_cve_id_validation(self):
         with pytest.raises(SchemaError):

@@ -117,6 +117,28 @@ class TestPlan:
         assert str(config) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("external, key", [
+        (5, "external"),
+        (["true"], "external"),
+        ({"command": 5}, "external/command"),
+        ({"command": "true", "timeout_s": "soon"}, "external/timeout_s"),
+        ({"command": "true", "timeout_s": 0}, "external/timeout_s"),
+        ({"command": "true", "timeout_s": -3.5}, "external/timeout_s"),
+        ({"command": "true", "timeout_s": True}, "external/timeout_s"),
+        ({"command": "true", "plan_glob": ["plan*"]}, "external/plan_glob"),
+    ])
+    def test_bad_external_section_exits_1(self, capsys, tmp_path, external, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"external": external}))
+        code, out, err = run_cli(capsys, "plan", "--network", NETWORK,
+                                 "--catalog", CATALOG, "--planner", "external",
+                                 "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: /{key}: ")
+        assert str(config) in err
+        assert err.count("\n") == 1
+
 
 class TestEmitPddl:
     def test_written_files_parse_to_emitted_documents(

@@ -113,6 +113,22 @@ class TestLoadNetwork:
         with pytest.raises(DanglingReference):
             network_from_dict(data)
 
+    @pytest.mark.parametrize("edit, pointer", [
+        (lambda d: d.update(hosts=5), "/hosts"),
+        (lambda d: d["hosts"][1].update(subnets="dmz"), "/hosts/1/subnets"),
+        (lambda d: d["hosts"][1].update(name=7), "/hosts/1/name"),
+        (lambda d: d["scenario"].update(goal_privilege=3), "/scenario/goal_privilege"),
+        (lambda d: d["scenario"].update(goal_privilege="MEGA"), "/scenario/goal_privilege"),
+        (lambda d: d["scenario"].update(goal_host=["db_server"]), "/scenario/goal_host"),
+        (lambda d: d.update(trusted_channels=[["web_server", 1]]), "/trusted_channels/0"),
+    ])
+    def test_wrong_types_raise_schema_error(self, edit, pointer):
+        data = _motivating_dict()
+        edit(data)
+        with pytest.raises(SchemaError) as err:
+            network_from_dict(data)
+        assert err.value.pointer == pointer
+
     def test_default_privileges(self, motivating_network):
         from chainplan import PrivilegeLevel
 

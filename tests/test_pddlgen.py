@@ -356,6 +356,27 @@ class TestParser:
             parse_pddl("(define (domain d)\n  (:types a - ")
         assert err.value.line >= 1
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("(define)", "missing (domain ...) or (problem ...) header", 1, 2),
+        ("(define (domain d)\n  (:predicates (p)", "unbalanced parenthesis", 2, 3),
+        ("(define (domain d)))", "trailing content after document", 1, 20),
+        (")", "unexpected ')'", 1, 1),
+        ("(define (domain d) (:action))", ":action needs a name", 1, 21),
+        ("(define (domain d) (:action a :parameters x :effect (p)))",
+         "expected a list in action a", 1, 43),
+    ])
+    def test_malformed_input_is_located(self, text, message, line, column):
+        with pytest.raises(PddlSyntaxError) as err:
+            parse_pddl(text)
+        assert (str(err.value), err.value.line, err.value.column) \
+            == (f"line {line}, column {column}: {message}", line, column)
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(PddlSyntaxError, match="must start with"):
+            parse_pddl("(" * 5000 + ")" * 5000)
+        with pytest.raises(PddlSyntaxError, match="unbalanced"):
+            parse_pddl("(" * 5000)
+
     def test_trailing_garbage(self):
         with pytest.raises(PddlSyntaxError):
             parse_pddl("(define (domain d)) extra")

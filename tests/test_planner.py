@@ -16,6 +16,7 @@ from chainplan import (
     is_applicable,
     records_from_dict,
 )
+from chainplan import planner
 from chainplan.netmodel import select_relevant_exploits
 from chainplan.pddlgen import compromised_atom, parse_pddl, parse_plan, to_pddl
 from chainplan.planner import (
@@ -37,7 +38,7 @@ from chainplan.errors import (
 )
 
 from conftest import MOTIVATING_CHAIN, build_task, fixture_pair
-from oracles import brute_force_minimal_sets, naive_ground_ids
+from oracles import brute_force_minimal_sets, naive_ground_ids, saturate
 
 
 class TestGround:
@@ -290,6 +291,39 @@ class TestFindTopK:
         _, _, task = motivating_task
         with pytest.raises(ValueError):
             find_top_k(task, 0)
+
+
+def _relevant_by_passes(task):
+    """Backward relevance closure by repeated passes over every action."""
+    relevant_atoms = set(task.goal)
+    relevant_ids = set()
+    changed = True
+    while changed:
+        changed = False
+        for action in task.actions:
+            if action.id not in relevant_ids \
+                    and any(effect in relevant_atoms for effect in action.effects):
+                relevant_ids.add(action.id)
+                changed = True
+                for clause in action.precondition:
+                    relevant_atoms.update(clause)
+    return relevant_ids
+
+
+class TestSearchSetUp:
+    """The worklist set-up helpers return what repeated-pass fixpoints do."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_repeated_passes(self, seed):
+        net, matrix = fixture_pair(seed)
+        if not select_relevant_exploits(net, matrix).relevant:
+            pytest.skip("nothing relevant")
+        _, _, task = build_task(net, matrix)
+        assert planner._saturate(task) == saturate(task.init, task.actions)
+        for host in net.host_names():
+            for level in (PrivilegeLevel.LOW, PrivilegeLevel.ROOT):
+                swapped = task.with_goal((compromised_atom(host, level).render(),))
+                assert planner._relevant_action_ids(swapped) == _relevant_by_passes(swapped)
 
 
 class TestCheckPlan:
