@@ -7,17 +7,18 @@ testable offline; only ``HttpLlmEndpoint`` talks to the network.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
 import threading
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Protocol as TypingProtocol
-
-import requests
 
 from .catalog import (
     ExploitClass,
@@ -267,11 +268,20 @@ class LlmEndpoint(TypingProtocol):
     def complete(self, messages: list[dict]) -> str: ...
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follow no redirect: a 3xx reply reaches the caller as an ``HTTPError``."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class HttpLlmEndpoint:
     """Chat-completions-style JSON-over-HTTP client (vendor-neutral).
 
     Temperature is pinned to 0 and replies capped at 16 tokens: the task
-    expects a single label.
+    expects a single label. Built on ``urllib``: TLS verifies against the
+    system CA store, and proxies come from ``HTTP(S)_PROXY``. No redirect is
+    followed, so the key and the messages go to ``endpoint``'s host only.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
@@ -291,18 +301,33 @@ class HttpLlmEndpoint:
             "temperature": 0,
             "max_tokens": 16,
         }
+        body = json.dumps(payload).encode("utf-8")
         try:
-            response = requests.post(self.endpoint, json=payload, headers=headers,
-                                     timeout=self.timeout_s)
-        except requests.RequestException as exc:
+            status, reply = self._post(body, headers)
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # OSError covers URLError and timeouts; ValueError a URL that is not http(s)
             raise EndpointError(f"request to {self.endpoint} failed: {exc}") from exc
-        if response.status_code != 200:
-            raise EndpointError(f"endpoint returned HTTP {response.status_code}: "
-                                f"{response.text[:200]}")
+        if status != 200:
+            raise EndpointError(f"endpoint returned HTTP {status}: "
+                                f"{reply.decode('utf-8', 'replace')[:200]}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            return json.loads(reply)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointError(f"unexpected endpoint response shape: {exc}") from exc
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """POST ``body``; the status and reply bytes, whatever the status."""
+        request = urllib.request.Request(self.endpoint, data=body, headers=headers,
+                                         method="POST")
+        if request.type not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme {request.type!r}")
+        opener = urllib.request.build_opener(_NoRedirect)
+        try:
+            with opener.open(request, timeout=self.timeout_s) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
 
 
 _RETRY_INSTRUCTION = (

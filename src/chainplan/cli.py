@@ -12,14 +12,16 @@ import json
 import logging
 import math
 import os
+import statistics
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, classifier
 from .catalog import PrivilegeLevel, load_catalog, load_records, save_records
-from .errors import ChainplanError, PlannerTimeout, SchemaError, UnknownActionId
+from .errors import ChainplanError, PlannerTimeout, ProcessError, SchemaError, UnknownActionId
 from .netmodel import load_network
 from .pddlgen import to_pddl, parse_plan
 from .planner import ExternalPlannerConfig, check_plan, ground, match_plan, run_external
@@ -42,6 +44,17 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _config_section(path: str | None, name: str, string_keys: tuple[str, ...]) -> dict:
+    """The config file's ``name`` section: an object whose ``string_keys``, if set, are strings."""
+    section = _load_config(path).get(name, {})
+    if not isinstance(section, dict):
+        raise SchemaError(f"must be an object in config {path}", f"/{name}")
+    for key in string_keys:
+        if not isinstance(section.get(key, ""), str):
+            raise SchemaError(f"must be a string in config {path}", f"/{name}/{key}")
+    return section
+
+
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
@@ -53,18 +66,25 @@ def _print_json(payload: dict) -> None:
 
 
 def _meta() -> dict:
-    import time
-
     return {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": "chainplan"}
 
 
 # --- classify -----------------------------------------------------------------
 
 
+def _llm_config(path: str | None) -> dict:
+    """The config file's ``llm`` section, type-checked."""
+    llm = _config_section(path, "llm", ("endpoint", "model"))
+    parallelism = llm.get("parallelism", 1)
+    if isinstance(parallelism, bool) or not isinstance(parallelism, int) or parallelism < 1:
+        raise SchemaError(f"must be an integer >= 1 in config {path}", "/llm/parallelism")
+    return llm
+
+
 def cmd_classify(args) -> int:
     _require(args, "catalog", "out")
     records = load_records(args.catalog)
-    config = _load_config(args.config).get("llm", {})
+    config = _llm_config(args.config)
     unclassified = [r for r in records if r.exploit_class is None]
 
     outcomes = []
@@ -84,7 +104,7 @@ def cmd_classify(args) -> int:
         if not api_key:
             raise ChainplanError(f"missing API key: set {API_KEY_ENV} or use --offline")
         client = classifier.HttpLlmEndpoint(endpoint=endpoint, model=model, api_key=api_key)
-        parallelism = int(args.parallelism or config.get("parallelism", 4))
+        parallelism = args.parallelism or config.get("parallelism", 4)
         shots = classifier.default_few_shots()
 
         def classify_one(record):
@@ -188,23 +208,23 @@ def _retarget(net, args):
 
 def _external_config(path: str | None) -> ExternalPlannerConfig:
     """The config file's ``external`` section, type-checked."""
-    external = _load_config(path).get("external", {})
-    if not isinstance(external, dict):
-        raise SchemaError(f"must be an object in config {path}", "/external")
+    external = _config_section(path, "external", ("command", "plan_glob"))
     if "command" not in external:
         raise ChainplanError("external planner requires config key external.command")
-    for key in ("command", "plan_glob"):
-        if not isinstance(external.get(key, ""), str):
-            raise SchemaError(f"must be a string in config {path}", f"/external/{key}")
     timeout_s = external.get("timeout_s", 300.0)
     if isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float)) \
             or not 0 < timeout_s < math.inf:
         raise SchemaError(f"must be a positive number in config {path}", "/external/timeout_s")
-    return ExternalPlannerConfig(
+    config = ExternalPlannerConfig(
         command=external["command"],
         timeout_s=float(timeout_s),
         plan_glob=external.get("plan_glob", "plan*"),
     )
+    try:
+        config.argv(Path())
+    except ProcessError as exc:
+        raise SchemaError(f"{exc} in config {path}", "/external/command") from None
+    return config
 
 
 def cmd_plan(args) -> int:
@@ -250,8 +270,6 @@ def cmd_sweep(args) -> int:
     first = results[0]
     payload = first.to_dict(include_timing=not args.no_meta)
     if args.runs > 1 and not args.no_meta:
-        import statistics
-
         for host in payload["per_host"]:
             samples = [r.per_host[host].duration_s for r in results]
             payload["per_host"][host]["duration_s"] = statistics.fmean(samples)
@@ -277,8 +295,6 @@ def cmd_sensitivity(args) -> int:
     durations = []
     result = None
     for _ in range(max(1, args.runs)):
-        import time
-
         start = time.perf_counter()
         result = analysis.privilege_sensitivity(
             net, matrix, args.k, max_len=args.max_len,
@@ -286,8 +302,6 @@ def cmd_sensitivity(args) -> int:
         durations.append(time.perf_counter() - start)
     payload = result.to_dict()
     if args.runs > 1 and not args.no_meta:
-        import statistics
-
         payload["duration_s"] = statistics.fmean(durations)
         payload["duration_std_s"] = statistics.stdev(durations)
         payload["runs"] = args.runs
@@ -352,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no LLM calls; keep existing labels")
     p.add_argument("--endpoint", help="chat-completions endpoint URL")
     p.add_argument("--model", help="model identifier")
-    p.add_argument("--parallelism", type=int, help="concurrent LLM requests")
+    p.add_argument("--parallelism", type=int, help="concurrent LLM calls")
     p.add_argument("--cache-dir", help="outcome cache directory")
     p.set_defaults(func=cmd_classify)
 

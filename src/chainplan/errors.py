@@ -115,7 +115,7 @@ class UnknownActionId(ChainplanError):
 
 
 class ProcessError(ChainplanError):
-    """External planner exited nonzero without producing a plan."""
+    """External planner could not be launched, or exited without producing a plan."""
 
 
 class PlannerTimeout(ChainplanError):

@@ -217,6 +217,10 @@ def _bindings(schema, fluents, facts: "_FactIndex", objects_by_type):
         yield from expand(0, dict(partial))
 
 
+def _is_connected_atom(atom: str) -> bool:
+    return atom.startswith("(TCP_connected ") or atom.startswith("(UDP_connected ")
+
+
 def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
     """Instantiate action schemas over the problem's typed objects.
 
@@ -304,8 +308,7 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
             ))
 
     # connection atoms are achievable only through init or a connect action
-    achievable = {a for a in init_set if a.startswith("(TCP_connected ")
-                  or a.startswith("(UDP_connected ")}
+    achievable = {a for a in init_set if _is_connected_atom(a)}
     for action in actions:
         if action.source[0] == "connect":
             achievable.update(action.effects)
@@ -314,7 +317,7 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
         for clause in action.precondition:
             possible = False
             for atom in clause:
-                if atom.startswith("(TCP_connected ") or atom.startswith("(UDP_connected "):
+                if _is_connected_atom(atom):
                     if atom in achievable:
                         possible = True
                         break
@@ -409,10 +412,6 @@ def check_plan(task: PlanningTask, plan: Plan) -> PlanCheck:
 
 
 # --- search --------------------------------------------------------------------
-
-def _is_connected_atom(atom: str) -> bool:
-    return atom.startswith("(TCP_connected ") or atom.startswith("(UDP_connected ")
-
 
 def _saturate(task: PlanningTask) -> frozenset:
     """Delete-free reachability fixpoint over all actions.
@@ -684,6 +683,21 @@ class ExternalPlannerConfig:
     timeout_s: float = 300.0
     plan_glob: str = "plan*"
 
+    def argv(self, workdir: Path) -> list[str]:
+        """The command for a run in ``workdir``: placeholders filled, split shell-style."""
+        try:
+            argv = shlex.split(self.command.format(
+                domain=workdir / "domain.pddl", problem=workdir / "problem.pddl",
+                plan_out=workdir / "plan"))
+        except KeyError as exc:
+            raise ProcessError(f"unknown placeholder {{{exc.args[0]}}} in planner command "
+                               "(use {domain}, {problem}, {plan_out})") from None
+        except (IndexError, AttributeError, TypeError, ValueError) as exc:
+            raise ProcessError(f"cannot build planner command: {exc}") from None
+        if not argv:
+            raise ProcessError("planner command is empty")
+        return argv
+
 
 _NUM_SUFFIX_RE = re.compile(r"\.(\d+)$")
 
@@ -709,23 +723,20 @@ def run_external(domain_path, problem_path, config: ExternalPlannerConfig) -> li
 
     with tempfile.TemporaryDirectory(prefix="chainplan-") as tmp:
         workdir = Path(tmp)
-        domain_copy = workdir / "domain.pddl"
-        problem_copy = workdir / "problem.pddl"
-        shutil.copyfile(domain_path, domain_copy)
-        shutil.copyfile(problem_path, problem_copy)
-        plan_out = workdir / "plan"
-        command = config.command.format(
-            domain=domain_copy, problem=problem_copy, plan_out=plan_out
-        )
+        argv = config.argv(workdir)
+        shutil.copyfile(domain_path, workdir / "domain.pddl")
+        shutil.copyfile(problem_path, workdir / "problem.pddl")
         try:
             proc = subprocess.run(
-                shlex.split(command), cwd=workdir, capture_output=True,
+                argv, cwd=workdir, capture_output=True,
                 text=True, timeout=config.timeout_s,
             )
         except subprocess.TimeoutExpired:
             raise PlannerTimeout(
                 f"external planner exceeded {config.timeout_s}s"
             ) from None
+        except OSError as exc:
+            raise ProcessError(f"cannot launch external planner: {exc}") from None
 
         files = sorted(workdir.glob(config.plan_glob), key=_plan_file_order)
         files = [f for f in files if f.name not in ("domain.pddl", "problem.pddl")]

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +129,11 @@ class TestPlan:
         ({"command": "true", "timeout_s": -3.5}, "external/timeout_s"),
         ({"command": "true", "timeout_s": True}, "external/timeout_s"),
         ({"command": "true", "plan_glob": ["plan*"]}, "external/plan_glob"),
+        ({"command": ""}, "external/command"),
+        ({"command": "true {nope}"}, "external/command"),
+        ({"command": "true {0}"}, "external/command"),
+        ({"command": "true {"}, "external/command"),
+        ({"command": "true 'open"}, "external/command"),
     ])
     def test_bad_external_section_exits_1(self, capsys, tmp_path, external, key):
         config = tmp_path / "config.json"
@@ -137,6 +145,21 @@ class TestPlan:
         assert out == ""
         assert err.startswith(f"error: /{key}: ")
         assert str(config) in err
+        assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("program", ["not_executable", "missing"])
+    def test_unlaunchable_planner_exits_1(self, capsys, tmp_path, program):
+        (tmp_path / "not_executable").write_text("#!/bin/sh\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"external": {
+            "command": f"{tmp_path / program} {{domain}}"}}))
+        code, out, err = run_cli(capsys, "plan", "--network", NETWORK,
+                                 "--catalog", CATALOG, "--planner", "external",
+                                 "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot launch external planner: ")
         assert err.count("\n") == 1
 
 
@@ -219,6 +242,32 @@ class TestClassify:
         assert summary["newly_classified"] == 3
 
 
+    @pytest.mark.parametrize("llm, key", [
+        ([], "llm"),
+        ("http://x", "llm"),
+        ({"endpoint": 5}, "llm/endpoint"),
+        ({"model": ["m"]}, "llm/model"),
+        ({"parallelism": "many"}, "llm/parallelism"),
+        ({"parallelism": 0}, "llm/parallelism"),
+        ({"parallelism": 2.5}, "llm/parallelism"),
+        ({"parallelism": True}, "llm/parallelism"),
+    ])
+    def test_bad_llm_section_exits_1(self, capsys, tmp_path, monkeypatch, llm, key):
+        monkeypatch.setenv(cli.API_KEY_ENV, "test-key")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"llm": llm}))
+        code, out, err = run_cli(capsys, "classify", "--catalog", CATALOG,
+                                 "--out", str(tmp_path / "x.json"),
+                                 "--endpoint", "http://localhost:1/v1",
+                                 "--model", "m", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: /{key}: ")
+        assert str(config) in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.json").exists()
+
+
 class TestSweepAndSensitivity:
     def test_sweep_counts(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--network", NETWORK,
@@ -286,3 +335,17 @@ class TestValidatePlan:
                                "--format", "json")
         assert code == 3
         assert "unknown action" in json.loads(out)["reason"]
+
+
+def test_imports_only_the_standard_library():
+    # a fresh interpreter: site .pth hooks may load third-party modules before
+    # any import, so only the modules the import itself adds are checked
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
+            "import chainplan.cli, chainplan\n"
+            "print(' '.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True)
+    added = set(result.stdout.split())
+    assert "chainplan" in added
+    assert added - set(sys.stdlib_module_names) - {"chainplan"} == set()

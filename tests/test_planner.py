@@ -1,4 +1,5 @@
 import random
+import re
 import stat
 import textwrap
 
@@ -449,6 +450,27 @@ class TestRunExternal:
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
         with pytest.raises(ProcessError):
+            run_external(domain_path, problem_path, config)
+
+    @pytest.mark.parametrize("command, message", [
+        ("", "planner command is empty"),
+        ("true {nope}", "unknown placeholder {nope}"),
+        ("true {0}", "cannot build planner command"),
+        ("true {", "cannot build planner command"),
+        ("true 'open", "cannot build planner command"),
+        ("true {domain.nope}", "cannot build planner command"),
+    ])
+    def test_unbuildable_command(self, motivating_files, command, message):
+        domain_path, problem_path, _ = motivating_files
+        with pytest.raises(ProcessError, match=re.escape(message)):
+            run_external(domain_path, problem_path, ExternalPlannerConfig(command))
+
+    def test_unlaunchable_command(self, tmp_path, motivating_files):
+        domain_path, problem_path, _ = motivating_files
+        script = tmp_path / "planner.sh"
+        script.write_text("#!/bin/sh\n")  # not executable
+        config = ExternalPlannerConfig(command=f"{script} {{domain}}", timeout_s=30)
+        with pytest.raises(ProcessError, match="cannot launch external planner"):
             run_external(domain_path, problem_path, config)
 
     def test_timeout(self, tmp_path, motivating_files):
