@@ -215,10 +215,17 @@ def _external_config(path: str | None) -> ExternalPlannerConfig:
     if isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float)) \
             or not 0 < timeout_s < math.inf:
         raise SchemaError(f"must be a positive number in config {path}", "/external/timeout_s")
+    plan_glob = external.get("plan_glob", "plan*")
+    parts = Path(plan_glob).parts
+    # Path.glob rejects some of these with a raw error; ".." would leave the run's directory
+    if not parts or Path(plan_glob).is_absolute() or ".." in parts \
+            or any("**" in part and part != "**" for part in parts):
+        raise SchemaError(f"must be a relative pattern inside the planner's directory "
+                          f"in config {path}", "/external/plan_glob")
     config = ExternalPlannerConfig(
         command=external["command"],
         timeout_s=float(timeout_s),
-        plan_glob=external.get("plan_glob", "plan*"),
+        plan_glob=plan_glob,
     )
     try:
         config.argv(Path())

@@ -9,6 +9,7 @@ nondecreasing length order, deduplicated by their set of exploit actions
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import re
 import shlex
@@ -49,10 +50,10 @@ class GroundAction:
     source: tuple[str, str | None]  # ("exploit", record id) | ("connect", "tcp"/"udp")
     precondition: tuple[frozenset[str], ...]
     effects: tuple[str, ...]
+    id: str = field(init=False, repr=False, compare=False)  # name and args, space-joined
 
-    @property
-    def id(self) -> str:
-        return " ".join((self.name,) + self.args)
+    def __post_init__(self):
+        object.__setattr__(self, "id", " ".join((self.name,) + self.args))
 
 
 @dataclass(frozen=True)
@@ -64,21 +65,37 @@ class PlanningTask:
     init: frozenset[str]
     goal: frozenset[str]
     _by_id: dict = field(default_factory=dict, repr=False, compare=False)
+    # grounds connect instances that ``ground`` left out; None for a hand-built task
+    _resolver: "_ConnectGrounder | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._by_id:
             object.__setattr__(self, "_by_id", {a.id: a for a in self.actions})
 
     def action(self, action_id: str) -> GroundAction:
-        try:
-            return self._by_id[action_id]
-        except KeyError:
-            raise UnknownActionId(f"unknown action {action_id!r}") from None
+        """The action with this id: grounded, or a connect grounded on demand."""
+        action = self._by_id.get(action_id)
+        if action is None and self._resolver is not None:
+            action = self._resolver.resolve(action_id)
+        if action is None:
+            raise UnknownActionId(f"unknown action {action_id!r}")
+        return action
 
     def with_goal(self, goal_atoms) -> "PlanningTask":
-        """The same task with another goal. Grounding does not depend on it, so
-        atoms (the universe as grounded), actions, init and the id index are shared."""
-        return replace(self, goal=frozenset(goal_atoms), _by_id=self._by_id)
+        """The same task with another goal. Atoms (the universe as grounded),
+        actions, init and the id index are shared, unless the goal names an
+        atom a left-out connect achieves: those connects are added, as a
+        fresh ``ground`` with this goal would keep them."""
+        goal = frozenset(goal_atoms)
+        extra = [] if self._resolver is None else \
+            [a for a in self._resolver.achievers(goal) if a.id not in self._by_id]
+        if not extra:
+            return replace(self, goal=goal, _by_id=self._by_id)
+        universe = set(self.atoms)
+        for action in extra:
+            universe.update(*action.precondition, action.effects)
+        return replace(self, atoms=tuple(sorted(universe)), goal=goal, _by_id={},
+                       actions=tuple(sorted(self.actions + tuple(extra), key=_action_order)))
 
     @property
     def exploit_actions(self) -> tuple[GroundAction, ...]:
@@ -150,6 +167,14 @@ class _FactIndex:
     def __init__(self, init_by_pred: dict):
         self.by_pred = init_by_pred
         self._positional: dict[tuple, dict] = {}
+        self._sets: dict[str, set] = {}
+
+    def fact_set(self, name: str) -> set:
+        """The facts of ``name`` as a set of argument tuples."""
+        known = self._sets.get(name)
+        if known is None:
+            known = self._sets[name] = set(self.by_pred.get(name, ()))
+        return known
 
     def candidates(self, atom: Atom, binding: dict):
         """Smallest fact list consistent with the bound positions of ``atom``."""
@@ -172,49 +197,169 @@ class _FactIndex:
         return best
 
 
-def _bindings(schema, fluents, facts: "_FactIndex", objects_by_type):
-    """Enumerate parameter bindings consistent with the static singleton atoms."""
+def _bindings(schema, fluents, facts: "_FactIndex", objects_by_type, lead=None) -> list[dict]:
+    """Parameter bindings consistent with the static singleton atoms.
+
+    ``lead``, an (atom, fact index) pair, is joined first when given: then
+    only bindings that make the atom one of those facts come out. The join
+    extends all partial bindings by one constraint at a time, so they bind
+    the same variables; a constraint with every variable bound by then is a
+    membership test. Unconstrained parameters range over their type.
+    """
     constraints = [
-        clause[0] for clause in schema.precondition
+        (clause[0], facts) for clause in schema.precondition
         if len(clause) == 1 and clause[0].name not in fluents
     ]
-
-    def solve(index: int, binding: dict):
-        if index == len(constraints):
-            yield binding
-            return
-        atom = constraints[index]
-        for fact_args in facts.candidates(atom, binding):
-            new = dict(binding)
-            ok = True
-            for pattern, value in zip(atom.args, fact_args):
-                if pattern.startswith("?"):
-                    bound = new.get(pattern)
-                    if bound is None:
-                        new[pattern] = value
-                    elif bound != value:
-                        ok = False
+    if lead is not None:
+        constraints.insert(0, lead)
+    if any(atom.name not in index.by_pred for atom, index in constraints):
+        return []  # a predicate without facts: nothing can bind
+    partials = [{}]
+    bound: set[str] = set()
+    for atom, index in constraints:
+        variables = {a for a in atom.args if a.startswith("?")}
+        if variables <= bound:  # every argument is known: a membership test
+            known = index.fact_set(atom.name)
+            partials = [b for b in partials if tuple(b.get(a, a) for a in atom.args) in known]
+            continue
+        bound |= variables
+        grown = []
+        for binding in partials:
+            for fact_args in index.candidates(atom, binding):
+                new = dict(binding)
+                for pattern, value in zip(atom.args, fact_args):
+                    if pattern.startswith("?"):
+                        if new.setdefault(pattern, value) != value:
+                            break
+                    elif pattern != value:
                         break
-                elif pattern != value:
-                    ok = False
-                    break
-            if ok:
-                yield from solve(index + 1, new)
+                else:
+                    grown.append(new)
+        partials = grown
+    free = [(v, t) for v, t in schema.parameters if v not in bound]
+    out = []
+    for partial in partials:
+        for objects in itertools.product(*(objects_by_type.get(t, ()) for _, t in free)):
+            binding = dict(partial)
+            binding.update(zip((v for v, _ in free), objects))
+            out.append(binding)
+    return out
 
-    for partial in solve(0, {}):
-        free = [(v, t) for v, t in schema.parameters if v not in partial]
 
-        def expand(index: int, binding: dict):
-            if index == len(free):
-                yield dict(binding)
-                return
-            var, kind = free[index]
-            for obj in objects_by_type.get(kind, ()):
-                binding[var] = obj
-                yield from expand(index + 1, binding)
-            binding.pop(var, None)
+def _instantiate(schema, source, binding: dict, fluents, init_set) -> GroundAction | None:
+    """The ground action of a full binding, or None when grounding drops it:
+    a connect from a host to itself, or a static clause that init falsifies.
+    Static clauses that init satisfies are left out of the precondition."""
+    if source[0] == "connect" and \
+            binding.get("?local_host") == binding.get("?remote_host"):
+        return None
 
-        yield from expand(0, dict(partial))
+    def inst(atom: Atom) -> str:
+        return "(" + " ".join([atom.name] + [binding.get(a, a) for a in atom.args]) + ")"
+
+    runtime: list[frozenset[str]] = []
+    for clause in schema.precondition:
+        static_hit = False
+        fluent_atoms = []
+        for atom in clause:
+            text = inst(atom)
+            if atom.name in fluents:
+                fluent_atoms.append(text)
+            elif text in init_set:
+                static_hit = True
+                break
+        if static_hit:
+            continue
+        if not fluent_atoms:
+            return None
+        runtime.append(frozenset(fluent_atoms))
+    return GroundAction(
+        name=schema.name,
+        args=tuple(binding[v] for v, _ in schema.parameters),
+        source=source,
+        precondition=tuple(runtime),
+        effects=tuple(inst(a) for a in schema.effects),
+    )
+
+
+def _action_order(action: GroundAction) -> tuple:
+    return (action.name, action.args)
+
+
+class _ConnectGrounder:
+    """Grounds connect schemas on demand, by the rules of ``ground``: the
+    instances that achieve given atoms (one join per schema effect), or the
+    one instance an id names."""
+
+    def __init__(self, schemas, predicates, fluents, facts, objects_by_type,
+                 object_types, init_set):
+        self.schemas = {s.name: (s, _schema_source(s)) for s in schemas}
+        # declared argument types of the predicates connects achieve
+        self.achieved = {a.name: tuple(kind for _, kind in predicates[a.name])
+                         for s in schemas for a in s.effects}
+        self.fluents = fluents
+        self.facts = facts
+        self.objects_by_type = objects_by_type
+        self.object_types = object_types
+        self.init_set = init_set
+        self._folded: tuple[dict, dict] | None = None
+
+    def achievers(self, atoms) -> list[GroundAction]:
+        """Every connect instance with an effect among ``atoms``."""
+        wanted: dict[str, list[tuple[str, ...]]] = {}
+        for atom in atoms:
+            # the predicate; find gives -1 for an atom without arguments
+            kinds = self.achieved.get(atom[1:atom.find(" ")])
+            if kinds is None:
+                continue
+            name, *args = atom[1:-1].split(" ")
+            if len(args) == len(kinds) and all(
+                    self.object_types.get(arg) == kind for arg, kind in zip(args, kinds)):
+                wanted.setdefault(name, []).append(tuple(args))
+        if not wanted:
+            return []
+        index = _FactIndex(wanted)
+        out = []
+        for schema, source in self.schemas.values():
+            found: dict[tuple, GroundAction] = {}
+            for effect in schema.effects:
+                for binding in _bindings(schema, self.fluents, self.facts,
+                                         self.objects_by_type, lead=(effect, index)):
+                    action = _instantiate(schema, source, binding, self.fluents,
+                                          self.init_set)
+                    if action is not None:
+                        found.setdefault(action.args, action)
+            out.extend(found.values())
+        return out
+
+    def resolve(self, action_id) -> GroundAction | None:
+        """The connect instance full grounding would give this id, or None."""
+        if not isinstance(action_id, str):
+            return None
+        name, *args = action_id.split(" ")
+        schema, source = self.schemas.get(name, (None, None))
+        if schema is None or len(args) != len(schema.parameters) or any(
+                self.object_types.get(arg) != kind
+                for arg, (_, kind) in zip(args, schema.parameters)):
+            return None
+        binding = {var: arg for (var, _), arg in zip(schema.parameters, args)}
+        return _instantiate(schema, source, binding, self.fluents, self.init_set)
+
+    def resolve_folded(self, text: str) -> list[str]:
+        """The connect ids that lower-case to ``text`` (lower-cased) and resolve."""
+        if self._folded is None:
+            names: dict[str, list[str]] = {}
+            for name in self.schemas:
+                names.setdefault(name.lower(), []).append(name)
+            objects: dict[str, list[str]] = {}
+            for obj in self.object_types:
+                objects.setdefault(obj.lower(), []).append(obj)
+            self._folded = (names, objects)
+        names, objects = self._folded
+        name, *args = text.split(" ")
+        options = [names.get(name, ())] + [objects.get(arg, ()) for arg in args]
+        return [action_id for action_id in map(" ".join, itertools.product(*options))
+                if self.resolve(action_id) is not None]
 
 
 def _is_connected_atom(atom: str) -> bool:
@@ -230,6 +375,14 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
     preconditions reference only fluent atoms. Connect actions never connect
     a host to itself, and exploit instantiations whose required connection
     atom has no achiever are dropped as unreachable.
+
+    Grounding is goal-directed. Exploit schemas are grounded first, and a
+    connect instance is kept only when one of its effects is an atom in a
+    kept exploit's precondition or in the goal; the connect schemas are
+    joined against those atoms, so the others are never enumerated. Any
+    other connect that full grounding would produce is still a valid id:
+    ``PlanningTask.action`` and ``match_plan`` ground it from its id on a
+    miss, by the same type, self-connect and static-clause rules.
     """
     predicates = dict(domain.predicates)
     object_types: dict[str, str] = {}
@@ -263,55 +416,35 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
         init_set.add(atom_str(atom.name, atom.args))
     for atom in problem.goal:
         check_ground_atom(atom, ":goal")
+    goal = frozenset(atom_str(a.name, a.args) for a in problem.goal)
 
     fluents = {a.name for schema in domain.actions for a in schema.effects}
     facts = _FactIndex(init_by_pred)
 
-    actions: list[GroundAction] = []
+    exploits: list[GroundAction] = []
     for schema in domain.actions:
         _check_schema_types(schema, predicates, object_types)
         source = _schema_source(schema)
+        if source[0] == "connect":
+            continue
         for binding in _bindings(schema, fluents, facts, objects_by_type):
-            if source[0] == "connect" and \
-                    binding.get("?local_host") == binding.get("?remote_host"):
-                continue
+            action = _instantiate(schema, source, binding, fluents, init_set)
+            if action is not None:
+                exploits.append(action)
 
-            def inst(atom: Atom) -> str:
-                return atom_str(atom.name, tuple(binding.get(a, a) for a in atom.args))
+    resolver = _ConnectGrounder(
+        [s for s in domain.actions if s.name in CONNECT_ACTIONS], predicates, fluents,
+        facts, objects_by_type, object_types, init_set)
+    wanted = set(goal)
+    for action in exploits:
+        wanted.update(*action.precondition)
+    connects = resolver.achievers(wanted)
 
-            runtime: list[frozenset[str]] = []
-            dead = False
-            for clause in schema.precondition:
-                static_hit = False
-                fluent_atoms = []
-                for atom in clause:
-                    text = inst(atom)
-                    if atom.name in fluents:
-                        fluent_atoms.append(text)
-                    elif text in init_set:
-                        static_hit = True
-                        break
-                if static_hit:
-                    continue
-                if not fluent_atoms:
-                    dead = True
-                    break
-                runtime.append(frozenset(fluent_atoms))
-            if dead:
-                continue
-            actions.append(GroundAction(
-                name=schema.name,
-                args=tuple(binding[v] for v, _ in schema.parameters),
-                source=source,
-                precondition=tuple(runtime),
-                effects=tuple(inst(a) for a in schema.effects),
-            ))
-
-    # connection atoms are achievable only through init or a connect action
+    # connection atoms are achievable only through init or a connect action;
+    # ``connects`` holds the achievers of every atom an exploit clause names
     achievable = {a for a in init_set if _is_connected_atom(a)}
-    for action in actions:
-        if action.source[0] == "connect":
-            achievable.update(action.effects)
+    for action in connects:
+        achievable.update(action.effects)
 
     def conn_possible(action: GroundAction) -> bool:
         for clause in action.precondition:
@@ -328,22 +461,23 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
                 return False
         return True
 
-    actions = [a for a in actions if a.source[0] == "connect" or conn_possible(a)]
-    actions.sort(key=lambda a: (a.name, a.args))
+    exploits = [a for a in exploits if conn_possible(a)]
+    needed = set(goal)
+    for action in exploits:
+        needed.update(*action.precondition)
+    actions = exploits + [a for a in connects if not needed.isdisjoint(a.effects)]
+    actions.sort(key=_action_order)
 
-    universe = set(init_set)
-    for atom in problem.goal:
-        universe.add(atom_str(atom.name, atom.args))
+    universe = set(init_set) | goal
     for action in actions:
-        for clause in action.precondition:
-            universe.update(clause)
-        universe.update(action.effects)
+        universe.update(*action.precondition, action.effects)
 
     return PlanningTask(
         atoms=tuple(sorted(universe)),
         actions=tuple(actions),
         init=frozenset(init_set),
-        goal=frozenset(atom_str(a.name, a.args) for a in problem.goal),
+        goal=goal,
+        _resolver=resolver,
     )
 
 
@@ -374,10 +508,14 @@ def match_plan(task: PlanningTask, parsed: PlanFile) -> Plan:
     steps = []
     for step in parsed.steps:
         text = " ".join((step.name,) + step.args)
-        action_id = by_lower.get(text.lower())
-        if action_id is None:
+        folded = text.lower()
+        found = [by_lower[folded]] if folded in by_lower else []
+        if task._resolver is not None:
+            found += task._resolver.resolve_folded(folded)
+        if not found:
             raise UnknownActionId(f"unknown action {text!r}")
-        steps.append(action_id)
+        # ids that differ only in case: the last in action order wins
+        steps.append(max(found, key=lambda action_id: action_id.split(" ")))
     return Plan(steps=tuple(steps))
 
 
@@ -656,7 +794,10 @@ def find_top_k(task: PlanningTask, k: int, max_len: int | None = None,
     exploit-action set.
 
     ``max_len`` bounds total plan length (default: the number of grounded
-    actions). ``max_expansions`` caps search effort: results are exhaustive
+    actions: ~9.5k on ``purdue_fixture(hosts=400)``, as grounding keeps only
+    the connects some exploit needs, and still above any plan's length,
+    since a minimal plan holds only kept actions). ``max_expansions`` caps
+    search effort: results are exhaustive
     whenever the search finishes within the budget (small tasks exhaust in
     well under a thousand expansions); on very dense tasks a warning is
     logged and the plans found so far are returned.
@@ -739,7 +880,8 @@ def run_external(domain_path, problem_path, config: ExternalPlannerConfig) -> li
             raise ProcessError(f"cannot launch external planner: {exc}") from None
 
         files = sorted(workdir.glob(config.plan_glob), key=_plan_file_order)
-        files = [f for f in files if f.name not in ("domain.pddl", "problem.pddl")]
+        files = [f for f in files
+                 if f.is_file() and f.name not in ("domain.pddl", "problem.pddl")]
         if not files:
             raise ProcessError(
                 f"external planner exited {proc.returncode} with no plan "

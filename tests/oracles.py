@@ -57,12 +57,14 @@ def brute_force_minimal_sets(task, max_size=None):
 
 # --- exhaustive grounding ------------------------------------------------------
 
-def naive_ground_ids(domain, problem):
-    """Ground action ids via full cross-product enumeration + static filtering.
+def naive_ground_all(domain, problem):
+    """Every action id full grounding gives: cross-product enumeration +
+    static filtering, with the kept actions' fluent clauses and effects.
 
-    Mirrors the grounding contract: static clauses must be satisfiable in
-    init, connect actions never connect a host to itself, and exploit
-    instantiations whose connection atom has no achiever are dropped.
+    Static clauses must be satisfiable in init, connect actions never
+    connect a host to itself, and exploit instantiations whose connection
+    atom has no achiever are dropped. Returns {id: (is_connect, fluent
+    clauses, effects)}, atoms as tuples.
     """
     from chainplan.pddlgen import CONNECT_ACTIONS
 
@@ -114,9 +116,25 @@ def naive_ground_ids(domain, problem):
         )
 
     return {
+        action_id: entry
+        for action_id, entry in grounded.items()
+        if entry[0] or all(clause_possible(c) for c in entry[1])
+    }
+
+
+def naive_ground_ids(domain, problem):
+    """The ground action ids of the grounding contract: full grounding, then
+    a connect is kept only if one of its effects lies in a kept exploit's
+    clause or in the goal."""
+    full = naive_ground_all(domain, problem)
+    needed = {(a.name,) + a.args for a in problem.goal}
+    for is_connect, clauses, _ in full.values():
+        if not is_connect:
+            needed.update(atom for clause in clauses for atom in clause)
+    return {
         action_id
-        for action_id, (is_connect, clauses, _) in grounded.items()
-        if is_connect or all(clause_possible(c) for c in clauses)
+        for action_id, (is_connect, _, effects) in full.items()
+        if not is_connect or needed.intersection(effects)
     }
 
 

@@ -134,6 +134,12 @@ class TestPlan:
         ({"command": "true {0}"}, "external/command"),
         ({"command": "true {"}, "external/command"),
         ({"command": "true 'open"}, "external/command"),
+        ({"command": "true", "plan_glob": ""}, "external/plan_glob"),
+        ({"command": "true", "plan_glob": "/abs*"}, "external/plan_glob"),
+        ({"command": "true", "plan_glob": "../plan*"}, "external/plan_glob"),
+        ({"command": "true", "plan_glob": "out/../../plan*"}, "external/plan_glob"),
+        ({"command": "true", "plan_glob": "."}, "external/plan_glob"),
+        ({"command": "true", "plan_glob": "**plan"}, "external/plan_glob"),
     ])
     def test_bad_external_section_exits_1(self, capsys, tmp_path, external, key):
         config = tmp_path / "config.json"
@@ -335,6 +341,49 @@ class TestValidatePlan:
                                "--format", "json")
         assert code == 3
         assert "unknown action" in json.loads(out)["reason"]
+
+    # On purdue_fixture(hosts=21) this connect achieves an atom no exploit
+    # needs, so grounding leaves it out; plan files may still name it.
+    SUPERFLUOUS = "tcp_connect ot_dmz data1 data3 a--apache--couchdb agent"
+    PURDUE21_PLAN = (
+        "tcp_connect internet attacker_host web_server2 a--apache--log4j agent",
+        "apache_log4j_jndi_ldap_rce attacker_host web_server2 agent",
+        "tcp_connect_trusted web_server2 data1 a--apache--couchdb agent",
+        "apache_couchdb_arbitrary_command_execution web_server2 data1 agent",
+        "tcp_connect ot_dmz data1 lan1 a--elastic--kibana agent",
+        "kibana_timelion_prototype_pollution data1 lan1 agent",
+        "tcp_connect ot lan1 scada4 a--schneider_electric--citectscada agent",
+        "citectscada_odbc_overflow lan1 scada4 agent",
+        "windows_com_cross_session_pe scada4 agent",
+    )
+
+    @pytest.mark.parametrize("steps, code, verdict", [
+        # a superfluous connect once data1 is held: still a valid plan
+        (PURDUE21_PLAN[:4] + (SUPERFLUOUS,) + PURDUE21_PLAN[4:], 0,
+         {"failed_step": None, "reason": None, "valid": True}),
+        # the same connect before data1 is held: its foothold is unmet
+        ((SUPERFLUOUS,) + PURDUE21_PLAN, 3,
+         {"failed_step": 0, "valid": False, "reason": "unsatisfied clause: "
+          "(is_compromised data1 agent HIGH_PRIVILEGES) or "
+          "(is_compromised data1 agent LOW_PRIVILEGES) or "
+          "(is_compromised data1 agent ROOT_PRIVILEGES)"}),
+        # a host never connects to itself
+        (("tcp_connect business corp1 corp1 a--apache--couchdb agent",) + PURDUE21_PLAN, 3,
+         {"valid": False, "reason": "unknown action "
+          "'tcp_connect business corp1 corp1 a--apache--couchdb agent'"}),
+    ], ids=["superfluous-connect", "unmet-foothold", "self-connect"])
+    def test_connect_steps_outside_the_grounded_task(self, capsys, tmp_path, steps, code,
+                                                     verdict):
+        from chainplan.synth import purdue_fixture
+
+        network, catalog = purdue_fixture(hosts=21)
+        (tmp_path / "net.json").write_text(json.dumps(network))
+        (tmp_path / "cat.json").write_text(json.dumps(catalog))
+        (tmp_path / "plan").write_text("".join(f"({s})\n" for s in steps))
+        got, out, err = run_cli(capsys, "validate-plan", "--network", str(tmp_path / "net.json"),
+                                "--catalog", str(tmp_path / "cat.json"),
+                                "--plan", str(tmp_path / "plan"), "--format", "json")
+        assert (got, json.loads(out), err) == (code, verdict, "")
 
 
 def test_imports_only_the_standard_library():

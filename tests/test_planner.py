@@ -1,9 +1,13 @@
+import dataclasses
+import functools
+import json
 import random
 import re
 import stat
 import textwrap
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chainplan import (
     ExploitMatrix,
@@ -15,11 +19,23 @@ from chainplan import (
     find_top_k,
     ground,
     is_applicable,
+    load_catalog,
+    load_network,
+    network_from_dict,
     records_from_dict,
 )
 from chainplan import planner
 from chainplan.netmodel import select_relevant_exploits
-from chainplan.pddlgen import compromised_atom, parse_pddl, parse_plan, to_pddl
+from chainplan.pddlgen import (
+    CONNECT_ACTIONS,
+    Atom,
+    PlanFile,
+    PlanStep,
+    compromised_atom,
+    parse_pddl,
+    parse_plan,
+    to_pddl,
+)
 from chainplan.planner import (
     ExternalPlannerConfig,
     Plan,
@@ -38,8 +54,8 @@ from chainplan.errors import (
     UnknownActionId,
 )
 
-from conftest import MOTIVATING_CHAIN, build_task, fixture_pair
-from oracles import brute_force_minimal_sets, naive_ground_ids, saturate
+from conftest import FIXTURES, MOTIVATING_CHAIN, build_task, fixture_pair
+from oracles import brute_force_minimal_sets, naive_ground_all, naive_ground_ids, saturate
 
 
 class TestGround:
@@ -62,6 +78,44 @@ class TestGround:
             pytest.skip("nothing relevant")
         domain, problem, task = build_task(net, matrix)
         assert {a.id for a in task.actions} == naive_ground_ids(domain, problem)
+
+    def test_id_is_stored_at_construction(self, motivating_task):
+        _, _, task = motivating_task
+        action = task.actions[0]
+        assert vars(action)["id"] == " ".join((action.name,) + action.args)
+        moved = dataclasses.replace(action, args=("x",) + action.args[1:])
+        assert moved.id == " ".join((action.name, "x") + action.args[1:])
+
+    # seeds whose full grounding has connects that no exploit needs
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_every_full_grounding_id_resolves(self, seed):
+        domain, problem, task = build_task(*fixture_pair(seed))
+        full = naive_ground_all(domain, problem)
+        assert len(full) > len(task.actions)
+        for action_id, (_, clauses, effects) in full.items():
+            action = task.action(action_id)
+            assert action.id == action_id
+            assert action.precondition == tuple(
+                frozenset("(" + " ".join(atom) + ")" for atom in clause) for clause in clauses)
+            assert action.effects == tuple("(" + " ".join(atom) + ")" for atom in effects)
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_ids_full_grounding_rejects_stay_unknown(self, seed):
+        domain, problem, task = build_task(*fixture_pair(seed))
+        full = naive_ground_all(domain, problem)
+        bad = []
+        for action_id in full:
+            name, *args = action_id.split(" ")
+            bad += [" ".join([name, *args[:-1]]), action_id + " agent", name.upper()]
+            if name in CONNECT_ACTIONS:
+                args[-3] = args[-4]  # remote host := local host
+                bad.append(" ".join([name, *args]))
+                args[-2] = args[-4]  # a host where a product belongs
+                bad.append(" ".join([name, *args]))
+        assert bad and not set(bad) & set(full)
+        for action_id in bad:
+            with pytest.raises(UnknownActionId):
+                task.action(action_id)
 
     def test_static_filter_prunes_absent_version(self, motivating_network):
         matrix = ExploitMatrix(tuple(records_from_dict({"records": [{
@@ -162,6 +216,23 @@ class TestWithGoal:
                 assert swapped.init == expected.init
                 assert swapped.actions == expected.actions
                 assert find_top_k(swapped, 20) == find_top_k(expected, 20)
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_connection_goal_grounds_its_achievers(self, seed):
+        domain, problem, task = build_task(*fixture_pair(seed))
+        full = naive_ground_all(domain, problem)
+        left_out = sorted(set(full) - {a.id for a in task.actions})
+        assert left_out
+        for action_id in left_out:
+            goal = task.action(action_id).effects[0]
+            name, *args = goal[1:-1].split(" ")
+            fresh = ground(domain, dataclasses.replace(problem, goal=(Atom(name, tuple(args)),)))
+            swapped = task.with_goal((goal,))
+            assert action_id in {a.id for a in swapped.actions}
+            assert swapped.actions == fresh.actions
+            assert swapped.goal == fresh.goal
+            assert planner._saturate(swapped) == planner._saturate(fresh)
+            assert find_top_k(swapped, 20) == find_top_k(fresh, 20)
 
 
 class TestApply:
@@ -372,6 +443,81 @@ class TestMatchPlan:
         with pytest.raises(UnknownActionId, match="unknown action 'Ghost A b'"):
             match_plan(task, parsed)
 
+    def test_case_clash_resolves_as_full_grounding(self, motivating_matrix):
+        # db_server runs a patched couchdb, so grounding keeps only the connect
+        # to DB_SERVER; both ids fold to one text, and as in an index over full
+        # grounding, the last of them in action order wins it
+        data = json.loads((FIXTURES / "motivating_network.json").read_text())
+        db = data["hosts"][2]
+        data["hosts"].append(dict(db, name="DB_SERVER"))
+        db["products"] = [dict(db["products"][1],
+                               cpe="cpe:2.3:a:apache:couchdb:9.9.9:*:*:*:*:*:*:*")]
+        domain, problem, task = build_task(network_from_dict(data), motivating_matrix)
+        kept = "tcp_connect lan web_server DB_SERVER a--apache--couchdb agent"
+        left_out = "tcp_connect lan web_server db_server a--apache--couchdb agent"
+        assert kept in task._by_id and left_out not in task._by_id
+        assert left_out in naive_ground_all(domain, problem)
+        assert match_plan(task, parse_plan(f"({kept.upper()})\n")).steps == (left_out,)
+
+
+@functools.cache
+def _full_grounding(source):
+    """A compiled task, plus the index ``match_plan`` would use over every id
+    full grounding gives (the last in action order wins a case clash), and
+    the schema names and objects of its documents."""
+    if source == "motivating":
+        pair = (load_network(FIXTURES / "motivating_network.json"),
+                load_catalog(FIXTURES / "motivating_catalog.json"))
+    else:
+        pair = fixture_pair(int(source))
+    domain, problem, task = build_task(*pair)
+    index = {}
+    for action_id in sorted(naive_ground_all(domain, problem), key=lambda i: i.split(" ")):
+        index[action_id.lower()] = action_id
+    names = sorted(s.name for s in domain.actions)
+    objects = sorted(name for name, _ in problem.objects + domain.constants)
+    return task, index, names, objects
+
+
+@st.composite
+def _step_texts(draw, source):
+    """(name, args) of a plan step: a full-grounding id, or schema names and
+    objects in any arity, self-connects, junk tokens; each in random case."""
+    _, index, names, objects = _full_grounding(source)
+    junk = st.text(max_size=8)
+    if draw(st.booleans()):
+        name, *args = draw(st.sampled_from(sorted(index.values()))).split(" ")
+    else:
+        name = draw(st.sampled_from(names) | junk)
+        args = draw(st.lists(st.sampled_from(objects) | junk, max_size=6))
+    if name in CONNECT_ACTIONS and len(args) >= 4 and draw(st.booleans()):
+        args[-3] = args[-4]
+    if args and draw(st.booleans()):
+        args[draw(st.integers(0, len(args) - 1))] = draw(junk)
+    tokens = [name, *args]
+    if draw(st.booleans()):
+        tokens = [token[:-1] if draw(st.booleans()) else token
+                  for token in tokens[:draw(st.integers(1, len(tokens)))]]
+
+    def recase(token):
+        return "".join(c.upper() if draw(st.booleans()) else c for c in token)
+
+    return recase(tokens[0]), tuple(recase(t) for t in tokens[1:])
+
+
+class TestMatchPlanFuzz:
+    @pytest.mark.parametrize("source", ["motivating", "8"])
+    @given(data=st.data())
+    def test_agrees_with_full_grounding(self, source, data):
+        task, index, _, _ = _full_grounding(source)
+        name, args = data.draw(_step_texts(source))
+        want = index.get(" ".join((name,) + args).lower())
+        try:
+            got = match_plan(task, PlanFile(steps=(PlanStep(name, args),))).steps[0]
+        except UnknownActionId:
+            got = None
+        assert got == want
+
 
 def _write_script(path, body):
     path.write_text("#!/bin/sh\n" + textwrap.dedent(body))
@@ -418,6 +564,19 @@ class TestRunExternal:
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
         plans = run_external(domain_path, problem_path, config)
         assert len(plans) == 3
+
+    def test_directories_matching_the_glob_are_skipped(self, tmp_path, motivating_files):
+        domain_path, problem_path, _ = motivating_files
+        script = tmp_path / "planner.sh"
+        _write_script(script, f"""\
+            mkdir "$3.d"
+            cat > "$3" <<'PLAN'
+{PLAN_TEXT}PLAN
+            """)
+        config = ExternalPlannerConfig(
+            command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
+        plans = run_external(domain_path, problem_path, config)
+        assert [p.steps for p in plans] == [MOTIVATING_CHAIN]
 
     def test_invalid_plan_reported(self, tmp_path, motivating_files):
         domain_path, problem_path, _ = motivating_files
