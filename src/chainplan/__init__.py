@@ -88,7 +88,6 @@ from .analysis import (
     find_chains,
     privilege_sensitivity,
     sweep_targets,
-    timing_harness,
     to_chain_report,
     transform_matrix,
 )

@@ -1,5 +1,5 @@
 """Chain reports and the experiment procedures built on top of the planner:
-per-target sweeps, privilege upper/lower-bound sensitivity, and timing.
+per-target sweeps and privilege upper/lower-bound sensitivity.
 """
 from __future__ import annotations
 
@@ -291,29 +291,3 @@ def privilege_sensitivity(net: NetworkSpec, matrix: ExploitMatrix, k: int,
         upper_bound=counts["ub"],
         lower_bound=counts["lb"],
     )
-
-
-# --- timing ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimingStats:
-    mean_s: float
-    std_s: float
-    runs: int
-
-    def to_dict(self) -> dict:
-        return {"mean_s": self.mean_s, "std_s": self.std_s, "runs": self.runs}
-
-
-def timing_harness(runs: int, job) -> TimingStats:
-    """Wall-clock mean and sample standard deviation of ``job()`` over ``runs``."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    samples = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        job()
-        samples.append(time.perf_counter() - start)
-    std = statistics.stdev(samples) if runs > 1 else 0.0
-    return TimingStats(mean_s=statistics.fmean(samples), std_s=std, runs=runs)

@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import os
-import statistics
 import sys
 import tempfile
 import time
@@ -271,17 +270,9 @@ def cmd_sweep(args) -> int:
     _require(args, "network", "catalog")
     net = load_network(args.network)
     matrix = load_catalog(args.catalog)
-    results = [analysis.sweep_targets(net, matrix, args.k, max_len=args.max_len,
-                                      max_expansions=args.max_expansions)
-               for _ in range(max(1, args.runs))]
-    first = results[0]
-    payload = first.to_dict(include_timing=not args.no_meta)
-    if args.runs > 1 and not args.no_meta:
-        for host in payload["per_host"]:
-            samples = [r.per_host[host].duration_s for r in results]
-            payload["per_host"][host]["duration_s"] = statistics.fmean(samples)
-            payload["per_host"][host]["duration_std_s"] = statistics.stdev(samples)
-        payload["runs"] = args.runs
+    result = analysis.sweep_targets(net, matrix, args.k, max_len=args.max_len,
+                                    max_expansions=args.max_expansions)
+    payload = result.to_dict(include_timing=not args.no_meta)
     if not args.no_meta:
         payload["meta"] = _meta()
     if args.format == "json":
@@ -292,26 +283,16 @@ def cmd_sweep(args) -> int:
             print(f"{host}: {row['plans']} chains "
                   f"(mean exploits {row['mean_chain_length']:.1f}){timing}")
         print(f"total: {payload['total']}")
-    return 0 if first.total > 0 else 3
+    return 0 if result.total > 0 else 3
 
 
 def cmd_sensitivity(args) -> int:
     _require(args, "network", "catalog")
     net = load_network(args.network)
     matrix = load_catalog(args.catalog)
-    durations = []
-    result = None
-    for _ in range(max(1, args.runs)):
-        start = time.perf_counter()
-        result = analysis.privilege_sensitivity(
-            net, matrix, args.k, max_len=args.max_len,
-            max_expansions=args.max_expansions)
-        durations.append(time.perf_counter() - start)
+    result = analysis.privilege_sensitivity(net, matrix, args.k, max_len=args.max_len,
+                                            max_expansions=args.max_expansions)
     payload = result.to_dict()
-    if args.runs > 1 and not args.no_meta:
-        payload["duration_s"] = statistics.fmean(durations)
-        payload["duration_std_s"] = statistics.stdev(durations)
-        payload["runs"] = args.runs
     if not args.no_meta:
         payload["meta"] = _meta()
     if args.format == "json":
@@ -349,8 +330,27 @@ def cmd_validate_plan(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, since exit code 2 means an external planner timeout."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainplan",
         description="Discover multi-step PE/RCE exploit chains in a declared network",
     )
@@ -384,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_emit_pddl)
 
     p = sub.add_parser("plan", parents=[common], help="enumerate exploit chains")
-    p.add_argument("--k", type=int, default=1, help="number of chains to search for")
+    p.add_argument("--k", type=_positive_int, default=1,
+                   help="number of chains to search for")
     p.add_argument("--max-len", type=int, default=None, help="plan length bound")
     p.add_argument("--max-expansions", type=int, default=100_000,
                    help="search effort budget")
@@ -395,20 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="re-plan against every candidate goal host")
-    p.add_argument("--k", type=int, default=13)
+    p.add_argument("--k", type=_positive_int, default=13)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--max-expansions", type=int, default=20_000,
                    help="search effort budget per goal")
-    p.add_argument("--runs", type=int, default=1, help="timing trials")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sensitivity", parents=[common],
                        help="plan counts under privilege UB/LB transforms")
-    p.add_argument("--k", type=int, default=13)
+    p.add_argument("--k", type=_positive_int, default=13)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--max-expansions", type=int, default=100_000,
                    help="search effort budget per scenario")
-    p.add_argument("--runs", type=int, default=1, help="timing trials")
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("validate-plan", parents=[common],
@@ -433,10 +432,7 @@ def main(argv=None) -> int:
     except PlannerTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ChainplanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ChainplanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

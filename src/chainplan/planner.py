@@ -412,8 +412,11 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
     init_set = set()
     for atom in problem.init:
         check_ground_atom(atom, ":init")
+        text = atom_str(atom.name, atom.args)
+        if text in init_set:  # a repeated atom would ground its bindings twice
+            continue
+        init_set.add(text)
         init_by_pred.setdefault(atom.name, []).append(atom.args)
-        init_set.add(atom_str(atom.name, atom.args))
     for atom in problem.goal:
         check_ground_atom(atom, ":goal")
     goal = frozenset(atom_str(a.name, a.args) for a in problem.goal)

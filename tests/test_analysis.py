@@ -14,7 +14,6 @@ from chainplan.analysis import (
     find_chains,
     privilege_sensitivity,
     sweep_targets,
-    timing_harness,
     to_chain_report,
     transform_matrix,
 )
@@ -324,17 +323,3 @@ class TestSensitivity:
             checked += 1
         assert checked == 25
 
-
-class TestTiming:
-    def test_single_run_has_zero_std(self):
-        stats = timing_harness(1, lambda: None)
-        assert stats.std_s == 0.0
-        assert stats.runs == 1
-
-    def test_noop_is_fast(self):
-        stats = timing_harness(5, lambda: None)
-        assert stats.mean_s < 0.01
-
-    def test_run_validation(self):
-        with pytest.raises(ValueError):
-            timing_harness(0, lambda: None)

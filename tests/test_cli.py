@@ -285,15 +285,6 @@ class TestSweepAndSensitivity:
         assert payload["per_host"]["db_server"]["plans"] == 1
         assert "duration_s" not in payload["per_host"]["db_server"]
 
-    def test_sweep_runs_add_timing(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--network", NETWORK,
-                               "--catalog", CATALOG, "--format", "json",
-                               "--runs", "3")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["runs"] == 3
-        assert "duration_std_s" in payload["per_host"]["db_server"]
-
     def test_sensitivity_counts(self, capsys):
         code, out, _ = run_cli(capsys, "sensitivity", "--network", NETWORK,
                                "--catalog", CATALOG_BPF, "--format", "json",
@@ -384,6 +375,58 @@ class TestValidatePlan:
                                 "--catalog", str(tmp_path / "cat.json"),
                                 "--plan", str(tmp_path / "plan"), "--format", "json")
         assert (got, json.loads(out), err) == (code, verdict, "")
+
+
+class TestUsageAndInputErrors:
+    def usage_exit(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--network", NETWORK, "--catalog", CATALOG, "--bogus"),
+        ("plan", "--network", NETWORK, "--catalog", CATALOG, "--format", "xml"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = self.usage_exit(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: chainplan")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "sensitivity"])
+    @pytest.mark.parametrize("k", ["0", "-2", "two"])
+    def test_k_below_one_exits_1(self, capsys, command, k):
+        code, out, err = self.usage_exit(capsys, command, "--network", NETWORK,
+                                         "--catalog", CATALOG, "--k", k)
+        assert (code, out) == (1, "")
+        assert f"argument --k: must be an integer >= 1, not '{k}'" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = self.usage_exit(capsys, "sweep", "--help")
+        assert code == 0
+        assert "--k" in out
+
+    def test_directory_as_network_exits_1(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "plan", "--network", str(tmp_path),
+                                 "--catalog", CATALOG)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_directory_as_plan_exits_1(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "validate-plan", "--network", NETWORK,
+                                 "--catalog", CATALOG, "--plan", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_file_as_out_directory_exits_1(self, capsys, tmp_path):
+        out_file = tmp_path / "taken"
+        out_file.write_text("keep\n")
+        code, out, err = run_cli(capsys, "emit-pddl", "--network", NETWORK,
+                                 "--catalog", CATALOG, "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out_file.read_text() == "keep\n"
 
 
 def test_imports_only_the_standard_library():

@@ -188,6 +188,17 @@ class TestGround:
         task = ground(parse_pddl(to_pddl(domain)), parse_pddl(to_pddl(problem)))
         assert {a.source[1] for a in task.exploit_actions} == {None}
 
+    def test_repeated_init_atoms_ground_once(self, motivating_network, bpf_matrix):
+        domain, problem, task = build_task(motivating_network, bpf_matrix)
+        doubled = dataclasses.replace(problem, init=problem.init + problem.init)
+        expected_plans = [p.steps for p in find_top_k(task, 5)]
+        assert len(expected_plans) == 2
+        for dom, prob in ((domain, doubled),
+                          (parse_pddl(to_pddl(domain)), parse_pddl(to_pddl(doubled)))):
+            again = ground(dom, prob)
+            assert [a.id for a in again.actions] == [a.id for a in task.actions]
+            assert [p.steps for p in find_top_k(again, 5)] == expected_plans
+
 
 class TestWithGoal:
     def test_shares_the_compiled_task(self, motivating_task):
