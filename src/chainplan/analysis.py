@@ -194,7 +194,9 @@ def sweep_targets(net: NetworkSpec, matrix: ExploitMatrix, k: int,
     the minimal exploit sets of the union. Hosts with no chains are reported
     with a zero count; results are keyed and ordered by host name. The
     default search budget is modest because a sweep runs three searches per
-    host; raise it for exhaustive counts on dense networks. A host's
+    host. A count is exact when each search drains its heap or proves its
+    plans complete (see ``find_top_k``); a search that runs out of budget
+    logs a warning, and a larger budget may then find more. A host's
     ``duration_s`` times its searches only, not the shared compile.
     """
     try:

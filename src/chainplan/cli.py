@@ -386,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", parents=[common], help="enumerate exploit chains")
     p.add_argument("--k", type=_positive_int, default=1,
                    help="number of chains to search for")
-    p.add_argument("--max-len", type=int, default=None, help="plan length bound")
-    p.add_argument("--max-expansions", type=int, default=100_000,
+    p.add_argument("--max-len", type=_positive_int, default=None, help="plan length bound")
+    p.add_argument("--max-expansions", type=_positive_int, default=100_000,
                    help="search effort budget")
     p.add_argument("--planner", choices=("embedded", "external"), default="embedded")
     p.add_argument("--target", help="override the goal host")
@@ -397,16 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common],
                        help="re-plan against every candidate goal host")
     p.add_argument("--k", type=_positive_int, default=13)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-expansions", type=int, default=20_000,
+    p.add_argument("--max-len", type=_positive_int, default=None)
+    p.add_argument("--max-expansions", type=_positive_int, default=20_000,
                    help="search effort budget per goal")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sensitivity", parents=[common],
                        help="plan counts under privilege UB/LB transforms")
     p.add_argument("--k", type=_positive_int, default=13)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-expansions", type=int, default=100_000,
+    p.add_argument("--max-len", type=_positive_int, default=None)
+    p.add_argument("--max-expansions", type=_positive_int, default=100_000,
                    help="search effort budget per scenario")
     p.set_defaults(func=cmd_sensitivity)
 

@@ -621,15 +621,23 @@ def _relevant_action_ids(task: PlanningTask) -> set:
     return {task.actions[index].id for index in relevant}
 
 
+# The most minimal hitting sets a completeness check tests. Each costs one
+# fixpoint over the prepared exploits, and Berge's algorithm can grow the
+# sets exponentially in the number of plans; the families a stalled search
+# proves complete need a handful (6 for data1's ROOT search on purdue@21),
+# so 64 keeps a check cheap next to the expansions it can save.
+_HITTING_SET_CAP = 64
+
+
 class _Search:
     """Uniform-cost enumeration of minimal plans over exploit-action sets.
 
     Connect actions are pure enablers (their only effect is a connection
     atom), so the search branches on exploit actions and inserts the
-    lexicographically first applicable connect step whenever a needed
-    connection atom is missing. States are tracked as deltas over init.
-    Only goal-relevant exploits are branched on; anything else cannot occur
-    in a minimal plan.
+    lexicographically first applicable connect step whenever a connection
+    atom an exploit or the goal needs is missing. States are tracked as
+    deltas over init. Only goal-relevant exploits are branched on; anything
+    else cannot occur in a minimal plan.
 
     The search runs on ints. The atoms that can enter a delta (the goal's,
     and the clause atoms, connection needs and effects of the relevant
@@ -644,6 +652,8 @@ class _Search:
         init = task.init
         missing = task.goal - init
         self.goal_reachable = missing <= _saturate(task)
+        # a goal connection atom is met as an exploit's connection need is
+        goal_conns = sorted(atom for atom in missing if _is_connected_atom(atom))
         relevant = _relevant_action_ids(task)
 
         exploits = []  # (id, clauses, connection needs, effects), as atoms
@@ -680,6 +690,7 @@ class _Search:
             return out
 
         needed = {atom for _, _, conn_needs, _ in exploits for atom in conn_needs}
+        needed.update(goal_conns)
         achievers: dict[str, list] = {}  # needed atom -> [(id, clause masks)]
         for action in sorted((a for a in task.connect_actions
                               if not needed.isdisjoint(a.effects)),
@@ -689,19 +700,23 @@ class _Search:
                 for effect in needed.intersection(action.effects):
                     achievers.setdefault(effect, []).append((action.id, clauses))
 
-        self.goal = mask(missing)
+        self.goal = mask(missing.difference(goal_conns))
         self.ids = sorted({e[0] for e in exploits}
                           | {c[0] for chain in achievers.values() for c in chain})
         rank = {action_id: r for r, action_id in enumerate(self.ids)}
+
+        def needs_of(atoms) -> tuple:
+            return tuple((mask((atom,)),
+                          tuple((rank[c], cc) for c, cc in achievers.get(atom, ())))
+                         for atom in atoms)
+
+        self.goal_needs = needs_of(goal_conns)
         self.prepared = []  # (rank, clause masks, ((need mask, achievers), ...), effects)
         self.always = 0  # exploits with no clause to gate on
         self.by_gate = [0] * len(position)  # bit -> exploits whose first clause holds it
         for index, (action_id, clauses, conn_needs, effects) in enumerate(exploits):
-            needs = tuple((mask((atom,)),
-                           tuple((rank[c], cc) for c, cc in achievers.get(atom, ())))
-                          for atom in conn_needs)
-            self.prepared.append((rank[action_id], tuple(mask(c) for c in clauses), needs,
-                                  mask(effects)))
+            self.prepared.append((rank[action_id], tuple(mask(c) for c in clauses),
+                                  needs_of(conn_needs), mask(effects)))
             if not clauses:
                 self.always |= 1 << index
             for atom in clauses[0] if clauses else ():
@@ -730,32 +745,109 @@ class _Search:
             added |= need
         return inserts, added
 
+    def finish(self, delta: int):
+        """The goal test: (inserted ranks, added atom mask) that complete the
+        goal in this state, connects inserted as ``realize`` inserts them,
+        or None when the goal does not hold."""
+        if delta & self.goal != self.goal:
+            return None
+        return self.realize((), self.goal_needs, delta)
+
+    def reaches(self, allowed: int) -> bool:
+        """Whether the goal can be reached with only the prepared exploits in
+        ``allowed``, a mask: one delete-free fixpoint under the search's
+        applicability and connect rules."""
+        prepared, realize = self.prepared, self.realize
+        delta = 0
+        grown = True
+        while grown:
+            grown = False
+            rest = allowed
+            while rest:
+                flag = rest & -rest
+                rest ^= flag
+                _, clauses, needs, effects = prepared[flag.bit_length() - 1]
+                realized = realize(clauses, needs, delta)
+                if realized is not None:
+                    delta |= realized[1] | effects
+                    allowed ^= flag
+                    grown = True
+        return self.finish(delta) is not None
+
+    def complete(self, recorded) -> bool | None:
+        """Whether the exploit sets in ``recorded`` (masks over the prepared
+        exploits) hold every plan the search can still find, or None past
+        ``_HITTING_SET_CAP`` minimal hitting sets.
+
+        A plan the search would record holds no recorded set, so it avoids
+        some minimal hitting set H of them; hence the family is complete
+        exactly when no H leaves the goal reachable. The minimal hitting sets
+        come from Berge's incremental algorithm: a set that misses a new
+        member grows by each of its exploits, and a grown set is kept unless
+        a set that already hit the member lies inside it.
+        """
+        hitting = [0]
+        for member in recorded:
+            kept = [h for h in hitting if h & member]
+            grown = []
+            for h in hitting:
+                bits = 0 if h & member else member
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    if not any(g & (h | low) == g for g in kept):
+                        grown.append(h | low)
+            hitting = kept + grown
+            if len(hitting) > _HITTING_SET_CAP:
+                return None
+        every = (1 << len(self.prepared)) - 1
+        return not any(self.reaches(every & ~h) for h in hitting)
+
+    def _proved(self, recorded, expansions: int) -> bool:
+        if self.complete(recorded) is not True:
+            return False
+        logger.debug("proved complete after %d expansions with %d plan(s)", expansions,
+                     len(recorded))
+        return True
+
     def run(self, k: int, max_len: int, max_expansions: int):
         if not self.goal_reachable:
             return []
-        goal, prepared, by_gate, realize = self.goal, self.prepared, self.by_gate, self.realize
+        prepared, by_gate, realize, finish = self.prepared, self.by_gate, self.realize, self.finish
         plans: list[Plan] = []
         recorded: list[int] = []
         visited: set[int] = set()
         counter = 0
         popped = 0
+        found_at = 0  # expansions when the last plan was recorded
+        unchecked = False  # no completeness check has seen the latest plan yet
         heap = [(0, (), counter, 0, 0)]
         while heap and len(plans) < k:
+            # once a search has gone as long without a plan as it took to find
+            # the last one, check whether its plans are all there are
+            if unchecked and popped == 2 * found_at:
+                unchecked = False
+                if self._proved(recorded, popped):
+                    break
             popped += 1
             if popped > max_expansions:
-                logger.warning(
-                    "plan enumeration stopped after %d expansions with %d plan(s); "
-                    "raise max_expansions for exhaustive results", max_expansions,
-                    len(plans))
+                if not (unchecked and self._proved(recorded, max_expansions)):
+                    logger.warning(
+                        "plan enumeration stopped after %d expansions with %d plan(s); "
+                        "raise max_expansions for exhaustive results", max_expansions,
+                        len(plans))
                 break
             _, steps, _, exploit_set, delta = heapq.heappop(heap)
             if exploit_set in visited:
                 continue
             visited.add(exploit_set)
-            if delta & goal == goal:
+            finished = finish(delta)
+            if finished is not None and len(steps) + len(finished[0]) <= max_len:
                 if not any(r & exploit_set == r for r in recorded):
                     recorded.append(exploit_set)
-                    plans.append(Plan(steps=tuple(self.ids[s] for s in steps)))
+                    plans.append(Plan(steps=tuple(self.ids[s] for s in steps + finished[0])))
+                    found_at = popped
+                    unchecked = True
                 continue
             # what each recorded exploit set adds to this one: a child, one
             # exploit more, is subsumed exactly when a record adds that alone
@@ -800,10 +892,12 @@ def find_top_k(task: PlanningTask, k: int, max_len: int | None = None,
     actions: ~9.5k on ``purdue_fixture(hosts=400)``, as grounding keeps only
     the connects some exploit needs, and still above any plan's length,
     since a minimal plan holds only kept actions). ``max_expansions`` caps
-    search effort: results are exhaustive
-    whenever the search finishes within the budget (small tasks exhaust in
-    well under a thousand expansions); on very dense tasks a warning is
-    logged and the plans found so far are returned.
+    search effort. Results are exact when the search drains its heap within
+    the budget (small tasks do in well under a thousand expansions), or when
+    a completeness check proves the plans found are every minimal plan: a
+    search with fewer than ``k`` plans checks once it has gone as long
+    without a plan as it took to find its last one, and at a budget stop.
+    Otherwise a warning is logged and the plans found so far are returned.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -402,6 +402,16 @@ class TestUsageAndInputErrors:
         assert (code, out) == (1, "")
         assert f"argument --k: must be an integer >= 1, not '{k}'" in err
 
+    @pytest.mark.parametrize("command", ["plan", "sweep", "sensitivity"])
+    @pytest.mark.parametrize("flag", ["--max-expansions", "--max-len"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_search_bounds_below_one_exit_1(self, capsys, command, flag, value):
+        code, out, err = self.usage_exit(capsys, command, "--network", NETWORK,
+                                         "--catalog", CATALOG, flag, value)
+        assert (code, out) == (1, "")
+        assert err.count("error:") == 1
+        assert f"argument {flag}: must be an integer >= 1, not '{value}'" in err
+
     def test_help_exits_0(self, capsys):
         code, out, _ = self.usage_exit(capsys, "sweep", "--help")
         assert code == 0

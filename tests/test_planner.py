@@ -375,6 +375,118 @@ class TestFindTopK:
         with pytest.raises(ValueError):
             find_top_k(task, 0)
 
+    def test_connection_goal_gives_a_connect_only_plan(self):
+        _, _, task = build_task(*fixture_pair(8))
+        swapped = task.with_goal(("(TCP_connected h0 h1 a--acme--webd)",))
+        plans = find_top_k(swapped, 5)
+        assert plans == [Plan(steps=("tcp_connect z0 h0 h1 a--acme--webd agent",))]
+        # the oracle finds the empty set feasible, so it is the one minimal set
+        assert {exploit_key(swapped, p) for p in plans} \
+            == brute_force_minimal_sets(swapped, max_size=0) == {frozenset()}
+
+    def test_connection_goals_match_the_oracle(self):
+        goals = 0
+        for _, task in _oracle_tasks(range(60)):
+            for goal in sorted({e for a in task.connect_actions for e in a.effects}):
+                swapped = task.with_goal((goal,))
+                plans = find_top_k(swapped, 10 ** 6)
+                assert {exploit_key(swapped, p) for p in plans} \
+                    == brute_force_minimal_sets(swapped), goal
+                assert [p.cost for p in plans] == sorted(p.cost for p in plans)
+                assert all(check_plan(swapped, p) for p in plans)
+                goals += bool(plans)
+        assert goals > 20
+
+
+def _oracle_tasks(seeds):
+    """The random tasks small enough for the brute-force oracle: at most 12
+    exploit actions on at most 6 hosts."""
+    for seed in seeds:
+        net, matrix = fixture_pair(seed)
+        if not select_relevant_exploits(net, matrix).relevant or len(net.hosts) > 6:
+            continue
+        _, _, task = build_task(net, matrix)
+        if len(task.exploit_actions) <= 12:
+            yield seed, task
+
+
+def _masks(search, task, plans) -> list[int]:
+    """The plans' exploit sets as masks over the search's prepared exploits."""
+    bit = {search.ids[p[0]]: 1 << i for i, p in enumerate(search.prepared)}
+    return [functools.reduce(int.__or__, (bit[s] for s in exploit_key(task, plan)), 0)
+            for plan in plans]
+
+
+class TestCompletenessCertificate:
+    """``_Search.complete`` answers True exactly when the plans found are
+    every minimal exploit set, as the brute-force oracle counts them."""
+
+    def test_agrees_with_the_oracle(self):
+        answers = []
+        for seed, task in _oracle_tasks(range(60)):
+            net, _ = fixture_pair(seed)
+            goals = [task] + [task.with_goal((compromised_atom(host, PrivilegeLevel.ROOT)
+                                              .render(),)) for host in sorted(net.host_names())]
+            for goal_task in goals:
+                oracle = brute_force_minimal_sets(goal_task)
+                for budget in (1, 25, 100_000):
+                    for k in (1, 13, 10 ** 6):
+                        search = planner._Search(goal_task)
+                        plans = search.run(k, len(goal_task.actions), budget)
+                        answer = search.complete(_masks(search, goal_task, plans))
+                        if answer is not None:
+                            found = {exploit_key(goal_task, p) for p in plans}
+                            assert answer == (found == oracle), \
+                                (seed, goal_task.goal, budget, k)
+                        answers.append((answer, bool(plans)))
+        assert None not in {answer for answer, _ in answers}
+        # complete with plans found, and incomplete with and without plans
+        assert answers.count((True, True)) > 100
+        assert answers.count((False, True)) > 20 and answers.count((False, False)) > 20
+
+    def test_a_strict_prefix_has_more(self):
+        checked = 0
+        for seed, task in _oracle_tasks(range(60)):
+            search = planner._Search(task)
+            masks = _masks(search, task, search.run(10 ** 6, len(task.actions), 100_000))
+            assert search.complete(masks) is True
+            for size in range(len(masks)):
+                assert search.complete(masks[:size]) is False, (seed, size)
+                checked += 1
+        assert checked > 20
+
+    def test_a_stalled_search_stops_once_proved(self, caplog):
+        # the 8th and last plan comes at expansion 42; the heap is not empty
+        _, _, task = build_task(*fixture_pair(59))
+        task = task.with_goal((compromised_atom("h2", PrivilegeLevel.HIGH).render(),))
+        with caplog.at_level("DEBUG", logger="chainplan.planner"):
+            plans = find_top_k(task, 10 ** 6)
+        assert [r.getMessage() for r in caplog.records] == [
+            "proved complete after 84 expansions with 8 plan(s)"]
+        assert {exploit_key(task, p) for p in plans} == brute_force_minimal_sets(task)
+
+    def test_a_budget_stop_is_exact_once_proved(self, caplog):
+        proved = 0
+        for seed, task in _oracle_tasks(range(60)):
+            oracle = brute_force_minimal_sets(task)
+            for budget in range(1, 80):
+                caplog.clear()
+                with caplog.at_level("DEBUG", logger="chainplan.planner"):
+                    plans = find_top_k(task, 10 ** 6, max_expansions=budget)
+                messages = [r.getMessage() for r in caplog.records]
+                if not any("enumeration stopped" in m for m in messages):
+                    assert {exploit_key(task, p) for p in plans} == oracle, (seed, budget)
+                    proved += any(m.startswith("proved complete") for m in messages)
+        assert proved >= 4
+
+    def test_an_empty_plan_is_complete(self, motivating_task):
+        domain, problem, _ = motivating_task
+        task = ground(domain, dataclasses.replace(problem, goal=(
+            Atom("is_compromised", ("attacker_host", "agent", "ROOT_PRIVILEGES")),)))
+        search = planner._Search(task)
+        assert search.complete([0]) is True
+        assert search.complete([]) is False
+
 
 def _relevant_by_passes(task):
     """Backward relevance closure by repeated passes over every action."""
