@@ -646,6 +646,11 @@ class _Search:
     bit: clauses that init satisfies are dropped. A step is the action's
     rank in the id order of the actions a plan can hold, so heap entries
     order and tie-break exactly as their id strings would.
+
+    ``run`` memoizes each exploit's step in a successor table keyed by
+    ``delta & support``, the only bits the step reads; a hit is the child
+    a recomputation would give, so the pushes and the pop order are those
+    of the search without it.
     """
 
     def __init__(self, task: PlanningTask):
@@ -712,11 +717,23 @@ class _Search:
 
         self.goal_needs = needs_of(goal_conns)
         self.prepared = []  # (rank, clause masks, ((need mask, achievers), ...), effects)
+        self.support = []  # per prepared exploit: the delta bits its step reads
         self.always = 0  # exploits with no clause to gate on
         self.by_gate = [0] * len(position)  # bit -> exploits whose first clause holds it
         for index, (action_id, clauses, conn_needs, effects) in enumerate(exploits):
-            self.prepared.append((rank[action_id], tuple(mask(c) for c in clauses),
-                                  needs_of(conn_needs), mask(effects)))
+            clause_masks = tuple(mask(c) for c in clauses)
+            needs = needs_of(conn_needs)
+            effect_mask = mask(effects)
+            self.prepared.append((rank[action_id], clause_masks, needs, effect_mask))
+            support = effect_mask
+            for clause in clause_masks:
+                support |= clause
+            for need, chain in needs:
+                support |= need
+                for _, achiever_clauses in chain:
+                    for clause in achiever_clauses:
+                        support |= clause
+            self.support.append(support)
             if not clauses:
                 self.always |= 1 << index
             for atom in clauses[0] if clauses else ():
@@ -744,6 +761,19 @@ class _Search:
             inserts += (step,)
             added |= need
         return inserts, added
+
+    def successor(self, index: int, delta: int):
+        """(steps appended, atoms added) when prepared exploit ``index`` is
+        taken in ``delta``, or None when it is inapplicable or vacuous. It
+        reads only the bits of ``support[index]``."""
+        step, clauses, needs, effects = self.prepared[index]
+        if effects & delta == effects:
+            return None
+        realized = self.realize(clauses, needs, delta)
+        if realized is None:
+            return None
+        inserts, added = realized
+        return inserts + (step,), added | effects
 
     def finish(self, delta: int):
         """The goal test: (inserted ranks, added atom mask) that complete the
@@ -813,7 +843,10 @@ class _Search:
     def run(self, k: int, max_len: int, max_expansions: int):
         if not self.goal_reachable:
             return []
-        prepared, by_gate, realize, finish = self.prepared, self.by_gate, self.realize, self.finish
+        by_gate, support, successor, finish = (self.by_gate, self.support, self.successor,
+                                               self.finish)
+        # successor table: per exploit, delta & support -> successor(...)
+        tables = [{} for _ in support]
         plans: list[Plan] = []
         recorded: list[int] = []
         visited: set[int] = set()
@@ -864,22 +897,25 @@ class _Search:
             while candidates:  # lowest bit first, so in prepared order
                 flag = candidates & -candidates
                 candidates ^= flag
-                step, clauses, needs, effects = prepared[flag.bit_length() - 1]
-                if effects & delta == effects:  # the step is vacuous
+                index = flag.bit_length() - 1
+                table = tables[index]
+                key = delta & support[index]
+                if key in table:
+                    entry = table[key]
+                else:
+                    entry = table[key] = successor(index, key)
+                if entry is None:
                     continue
-                realized = realize(clauses, needs, delta)
-                if realized is None:
-                    continue
-                inserts, added = realized
-                child_steps = steps + inserts + (step,)
-                if len(child_steps) > max_len:
+                tail, added = entry
+                child_steps = steps + tail
+                length = len(child_steps)
+                if length > max_len:
                     continue
                 child_set = exploit_set | flag
                 if child_set in visited or flag in lacking:
                     continue
                 counter += 1
-                heapq.heappush(heap, (len(child_steps), child_steps, counter,
-                                      child_set, delta | added | effects))
+                heapq.heappush(heap, (length, child_steps, counter, child_set, delta | added))
         return plans
 
 

@@ -38,14 +38,22 @@ def feasible(task, exploit_subset, connects):
     return task.goal <= saturate(task.init, allowed)
 
 
-def brute_force_minimal_sets(task, max_size=None):
-    """All minimal feasible exploit-action sets, as frozensets of action ids."""
+def brute_force_minimal_sets(task):
+    """All minimal feasible exploit-action sets, as frozensets of action ids.
+
+    The task is delete-free, so feasibility is monotone in the set: nothing
+    is feasible when all exploits together are not, and a feasible empty set
+    is the one minimal set.
+    """
     exploits = sorted((a for a in task.actions if a.source[0] == "exploit"),
                       key=lambda a: a.id)
     connects = [a for a in task.actions if a.source[0] == "connect"]
-    limit = len(exploits) if max_size is None else min(max_size, len(exploits))
+    if not feasible(task, exploits, connects):
+        return set()
+    if feasible(task, (), connects):
+        return {frozenset()}
     minimal: list[frozenset] = []
-    for size in range(0, limit + 1):
+    for size in range(1, len(exploits) + 1):
         for combo in itertools.combinations(exploits, size):
             ids = frozenset(a.id for a in combo)
             if any(m <= ids for m in minimal):

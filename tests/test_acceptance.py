@@ -11,6 +11,7 @@ from collections import Counter
 
 from chainplan import (
     ExploitMatrix,
+    PrivilegeLevel,
     apply,
     check_plan,
     cli,
@@ -28,6 +29,7 @@ from chainplan.netmodel import select_relevant_exploits
 from chainplan.pddlgen import (
     CONNECT_ACTIONS,
     Atom,
+    compromised_atom,
     emit_domain,
     emit_problem,
     parse_pddl,
@@ -85,7 +87,7 @@ def test_c2_alternative_chain_discovery(motivating_network, bpf_matrix):
 
 def test_c3_oracle_equivalence():
     start = time.perf_counter()
-    qualifying = 0
+    qualifying = compared = non_empty = 0
     seed = 0
     while qualifying < 200:
         seed += 1
@@ -100,12 +102,23 @@ def test_c3_oracle_equivalence():
         if len(task.exploit_actions) > 12 or len(net.hosts) > 6:
             continue
         qualifying += 1
-        keys = {exploit_key(task, p) for p in find_top_k(task, 10 ** 6)}
-        assert keys == brute_force_minimal_sets(task), f"seed {seed} disagrees"
+        # the default goal, then every target's goals as the sweep poses them
+        goals = [task] + [task.with_goal((compromised_atom(host, level).render(),))
+                          for host in sorted(net.host_names())
+                          if host != net.scenario.attacker_host
+                          for level in (PrivilegeLevel.LOW, PrivilegeLevel.HIGH,
+                                        PrivilegeLevel.ROOT)]
+        for goal_task in goals:
+            keys = {exploit_key(goal_task, p) for p in find_top_k(goal_task, 10 ** 6)}
+            assert keys == brute_force_minimal_sets(goal_task), \
+                f"seed {seed} disagrees on {sorted(goal_task.goal)}"
+            compared += 1
+            non_empty += bool(keys)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
+    assert non_empty >= 400
     _report("3", f"top-k equals brute force on {qualifying} random tasks "
-                 f"in {elapsed:.1f}s")
+                 f"({compared} goals, {non_empty} with plans) in {elapsed:.1f}s")
 
 
 def test_c4_sensitivity_direction(motivating_network):

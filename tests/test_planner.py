@@ -38,12 +38,14 @@ from chainplan.pddlgen import (
 )
 from chainplan.planner import (
     ExternalPlannerConfig,
+    GroundAction,
     Plan,
     PlanningTask,
     applicable_actions,
     match_plan,
     run_external,
 )
+from chainplan.synth import purdue_fixture
 from chainplan.errors import (
     ArityMismatch,
     InvalidExternalPlan,
@@ -382,7 +384,7 @@ class TestFindTopK:
         assert plans == [Plan(steps=("tcp_connect z0 h0 h1 a--acme--webd agent",))]
         # the oracle finds the empty set feasible, so it is the one minimal set
         assert {exploit_key(swapped, p) for p in plans} \
-            == brute_force_minimal_sets(swapped, max_size=0) == {frozenset()}
+            == brute_force_minimal_sets(swapped) == {frozenset()}
 
     def test_connection_goals_match_the_oracle(self):
         goals = 0
@@ -486,6 +488,63 @@ class TestCompletenessCertificate:
         search = planner._Search(task)
         assert search.complete([0]) is True
         assert search.complete([]) is False
+
+
+class TestSuccessorTable:
+    """The search keys each exploit's step by ``delta & support``. That is
+    exact only if applicability, the inserted connects and the vacuous-step
+    test read no delta bit outside the exploit's support."""
+
+    @staticmethod
+    def _gated_connect_task():
+        """A connect gated on an atom that only another exploit adds. In
+        compiled tasks a connect is gated on the local foothold, which the
+        exploit that needs the connection also requires."""
+        beacon, link = "(beacon h0)", "(TCP_connected h0 h1 p)"
+        goal = "(is_compromised h1 agent ROOT_PRIVILEGES)"
+        actions = (
+            GroundAction("plant", ("h0", "agent"), ("exploit", "plant"), (), (beacon,)),
+            GroundAction("tcp_connect", ("z0", "h0", "h1", "p", "agent"), ("connect", "tcp"),
+                         (frozenset({beacon}),), (link,)),
+            GroundAction("rce", ("h0", "h1", "agent"), ("exploit", "rce"),
+                         (frozenset({link}),), (goal,)),
+        )
+        return PlanningTask(atoms=(beacon, link, goal), actions=actions,
+                            init=frozenset(), goal=frozenset({goal}))
+
+    @staticmethod
+    def _searches():
+        yield planner._Search(TestSuccessorTable._gated_connect_task())
+        network, catalog = purdue_fixture(hosts=21)
+        _, _, task = build_task(network_from_dict(network),
+                                ExploitMatrix(tuple(records_from_dict(catalog))))
+        goal = compromised_atom("data2", PrivilegeLevel.ROOT).render()
+        yield planner._Search(task.with_goal((goal,)))
+        for _, task in _oracle_tasks(range(60)):
+            yield planner._Search(task)
+
+    def test_a_step_reads_only_its_support(self):
+        rng = random.Random(10)
+        checked = applicable = 0
+        for search in self._searches():
+            width = len(search.by_gate)
+            for index, (_, clauses, needs, effects) in enumerate(search.prepared):
+                support = search.support[index]
+                for density in (0.25, 0.5, 0.75) * 20:
+                    delta = sum(1 << bit for bit in range(width) if rng.random() < density)
+                    key = delta & support
+                    assert planner._Search.realize(clauses, needs, delta) \
+                        == planner._Search.realize(clauses, needs, key)
+                    assert (effects & delta == effects) == (effects & key == effects)
+                    successor = search.successor(index, delta)
+                    assert successor == search.successor(index, key)
+                    checked += 1
+                    applicable += successor is not None
+        assert checked > 5000 and applicable > 1000
+
+    def test_a_gated_connect_is_inserted(self):
+        assert find_top_k(self._gated_connect_task(), 5) == [Plan(steps=(
+            "plant h0 agent", "tcp_connect z0 h0 h1 p agent", "rce h0 h1 agent"))]
 
 
 def _relevant_by_passes(task):
