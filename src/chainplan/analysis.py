@@ -180,24 +180,20 @@ class SweepResult:
         return {"per_host": out, "total": self.total}
 
 
-_SWEEP_LEVELS = (PrivilegeLevel.LOW, PrivilegeLevel.HIGH, PrivilegeLevel.ROOT)
-
-
 def sweep_targets(net: NetworkSpec, matrix: ExploitMatrix, k: int,
                   max_len: int | None = None,
                   max_expansions: int = 20_000) -> SweepResult:
     """Re-plan once per candidate goal host (every host but the attacker's).
 
     A chain counts when it compromises the target at any privilege level:
-    the state is purely propositional, so this is computed by planning once
-    per privilege goal (one compile, retargeted ``with_goal``) and keeping
-    the minimal exploit sets of the union. Hosts with no chains are reported
-    with a zero count; results are keyed and ordered by host name. The
-    default search budget is modest because a sweep runs three searches per
-    host. A count is exact when each search drains its heap or proves its
-    plans complete (see ``find_top_k``); a search that runs out of budget
-    logs a warning, and a larger budget may then find more. A host's
-    ``duration_s`` times its searches only, not the shared compile.
+    one search per host (on one shared compile) whose goal is a single
+    clause, the host compromised at LOW, HIGH or ROOT, as an exploit's
+    foothold clause is. Hosts with no chains are reported with a zero
+    count; results are keyed and ordered by host name. A count is exact
+    when the search drains its heap or proves its plans complete (see
+    ``find_top_k``); a search that runs out of budget logs a warning, and a
+    larger budget may then find more. A host's ``duration_s`` times its
+    search only, not the shared compile.
     """
     try:
         *_, task = compile_network(net, matrix)
@@ -208,22 +204,15 @@ def sweep_targets(net: NetworkSpec, matrix: ExploitMatrix, k: int,
         if host == net.scenario.attacker_host:
             continue
         start = time.perf_counter()
-        keys: dict = {}
-        for level in _SWEEP_LEVELS if task is not None else ():
-            goal = compromised_atom(host, level).render()
-            plans = find_top_k(task.with_goal((goal,)), k, max_len=max_len,
-                               max_expansions=max_expansions)
-            for plan in plans:
-                keys.setdefault(exploit_key(task, plan), plan)
-        minimal = [key for key in keys
-                   if not any(other < key for other in keys)]
-        minimal.sort(key=len)
+        goal = (frozenset(compromised_atom(host, level).render()
+                          for level in PrivilegeLevel if level > PrivilegeLevel.NONE),)
+        plans = [] if task is None else find_top_k(
+            task, k, max_len=max_len, max_expansions=max_expansions, goal=goal)
         duration = time.perf_counter() - start
-        kept = minimal[:k]
         per_host[host] = SweepEntry(
-            plans=len(kept),
-            mean_chain_length=statistics.fmean(len(key) for key in kept)
-            if kept else 0.0,
+            plans=len(plans),
+            mean_chain_length=statistics.fmean(len(exploit_key(task, plan)) for plan in plans)
+            if plans else 0.0,
             duration_s=duration,
         )
     return SweepResult(per_host=per_host)

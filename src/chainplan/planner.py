@@ -593,8 +593,8 @@ def _saturate(task: PlanningTask) -> frozenset:
     return frozenset(state)
 
 
-def _relevant_action_ids(task: PlanningTask) -> set:
-    """Backward relevance closure from the goal.
+def _relevant_action_ids(task: PlanningTask, goal) -> set:
+    """Backward relevance closure from the atoms of ``goal``, a CNF.
 
     An action outside the closure cannot contribute to any goal derivation,
     so a minimal plan never contains it; restricting enumeration to the
@@ -605,7 +605,7 @@ def _relevant_action_ids(task: PlanningTask) -> set:
     for index, action in enumerate(task.actions):
         for effect in action.effects:
             achievers.setdefault(effect, []).append(index)
-    relevant_atoms = set(task.goal)
+    relevant_atoms = set().union(*goal)
     pending = list(relevant_atoms)
     relevant: set[int] = set()
     while pending:
@@ -637,7 +637,8 @@ class _Search:
     lexicographically first applicable connect step whenever a connection
     atom an exploit or the goal needs is missing. States are tracked as
     deltas over init. Only goal-relevant exploits are branched on; anything
-    else cannot occur in a minimal plan.
+    else cannot occur in a minimal plan. The goal is a CNF and is prepared
+    as an exploit's precondition is.
 
     The search runs on ints. The atoms that can enter a delta (the goal's,
     and the clause atoms, connection needs and effects of the relevant
@@ -653,38 +654,41 @@ class _Search:
     of the search without it.
     """
 
-    def __init__(self, task: PlanningTask):
+    def __init__(self, task: PlanningTask, goal=None):
+        if goal is None:
+            goal = tuple(frozenset((atom,)) for atom in sorted(task.goal))
+        else:  # with any connect a goal atom needs that grounding left out
+            task = task.with_goal(frozenset().union(*goal))
         init = task.init
-        missing = task.goal - init
-        self.goal_reachable = missing <= _saturate(task)
-        # a goal connection atom is met as an exploit's connection need is
-        goal_conns = sorted(atom for atom in missing if _is_connected_atom(atom))
-        relevant = _relevant_action_ids(task)
+        reached = _saturate(task)
+        self.goal_reachable = all(not clause.isdisjoint(reached) for clause in goal)
+        relevant = _relevant_action_ids(task, goal)
 
-        exploits = []  # (id, clauses, connection needs, effects), as atoms
-        for action in sorted(task.exploit_actions, key=lambda a: (a.name, a.args)):
-            action_id = action.id
-            if action_id not in relevant:
-                continue
-            clauses = []
-            conn_needs = []
-            for clause in action.precondition:
+        def prepare(precondition):
+            # the clauses init leaves open: masks, and single connection atoms,
+            # which become needs that ``realize`` meets with a connect
+            clauses, conn_needs = [], []
+            for clause in precondition:
                 if not clause.isdisjoint(init):
                     continue
                 if len(clause) == 1 and _is_connected_atom(next(iter(clause))):
                     conn_needs.append(next(iter(clause)))
                 else:
                     clauses.append(clause)
-            effects = [e for e in action.effects if e not in init]
-            exploits.append((action_id, clauses, conn_needs, effects))
+            return clauses, conn_needs
+
+        goal_clauses, goal_conns = prepare(goal)
+        exploits = []  # (id, clauses, connection needs, effects), as atoms
+        for action in sorted(task.exploit_actions, key=lambda a: (a.name, a.args)):
+            if action.id in relevant:
+                effects = [e for e in action.effects if e not in init]
+                exploits.append((action.id, *prepare(action.precondition), effects))
 
         position: dict[str, int] = {}  # atom -> its bit
-        for atom in missing:
-            position.setdefault(atom, len(position))
-        for _, clauses, conn_needs, effects in exploits:
-            for atoms in (*clauses, conn_needs, effects):
-                for atom in atoms:
-                    position.setdefault(atom, len(position))
+        for _, clauses, conn_needs, effects in [("goal", goal_clauses, goal_conns, ()),
+                                                 *exploits]:
+            for atom in itertools.chain(*clauses, conn_needs, effects):
+                position.setdefault(atom, len(position))
 
         def mask(atoms) -> int:
             # an atom without a bit never enters a delta, so it adds nothing
@@ -705,7 +709,7 @@ class _Search:
                 for effect in needed.intersection(action.effects):
                     achievers.setdefault(effect, []).append((action.id, clauses))
 
-        self.goal = mask(missing.difference(goal_conns))
+        self.goal = tuple(mask(c) for c in goal_clauses)
         self.ids = sorted({e[0] for e in exploits}
                           | {c[0] for chain in achievers.values() for c in chain})
         rank = {action_id: r for r, action_id in enumerate(self.ids)}
@@ -779,9 +783,7 @@ class _Search:
         """The goal test: (inserted ranks, added atom mask) that complete the
         goal in this state, connects inserted as ``realize`` inserts them,
         or None when the goal does not hold."""
-        if delta & self.goal != self.goal:
-            return None
-        return self.realize((), self.goal_needs, delta)
+        return self.realize(self.goal, self.goal_needs, delta)
 
     def reaches(self, allowed: int) -> bool:
         """Whether the goal can be reached with only the prepared exploits in
@@ -920,9 +922,14 @@ class _Search:
 
 
 def find_top_k(task: PlanningTask, k: int, max_len: int | None = None,
-               max_expansions: int = 100_000) -> list[Plan]:
+               max_expansions: int = 100_000, *, goal=None) -> list[Plan]:
     """Up to ``k`` minimal plans, nondecreasing in length, deduplicated by
     exploit-action set.
+
+    ``goal`` is a CNF, clauses of atoms of which one must hold, prepared as
+    an exploit's precondition is (default: one clause per atom of
+    ``task.goal``). A clause of several privilege atoms asks for a host
+    compromised at any of those levels in one search.
 
     ``max_len`` bounds total plan length (default: the number of grounded
     actions: ~9.5k on ``purdue_fixture(hosts=400)``, as grounding keeps only
@@ -938,7 +945,7 @@ def find_top_k(task: PlanningTask, k: int, max_len: int | None = None,
     if k < 1:
         raise ValueError("k must be >= 1")
     bound = max_len if max_len is not None else len(task.actions)
-    return _Search(task).run(k, bound, max_expansions)
+    return _Search(task, goal).run(k, bound, max_expansions)
 
 
 def find_plan(task: PlanningTask, max_len: int | None = None) -> Plan | None:

@@ -5,6 +5,7 @@ import pytest
 from chainplan import (
     ExploitMatrix,
     ExploitRecord,
+    PrivilegeLevel,
     compile_network,
     load_catalog,
     load_network,
@@ -12,6 +13,7 @@ from chainplan import (
     parse_cpe,
     records_from_dict,
 )
+from chainplan.pddlgen import compromised_atom
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -59,6 +61,12 @@ def fixture_pair(seed, **kwargs):
     net = network_from_dict(net_dict)
     matrix = ExploitMatrix(tuple(records_from_dict(cat_dict)))
     return net, matrix
+
+
+def any_level_goal(host):
+    """The sweep's goal for ``host`` as a CNF: compromised at any level."""
+    return (frozenset(compromised_atom(host, level).render()
+                      for level in PrivilegeLevel if level > PrivilegeLevel.NONE),)
 
 
 def aix_invscout_record() -> ExploitRecord:

@@ -63,6 +63,18 @@ def brute_force_minimal_sets(task):
     return set(minimal)
 
 
+def minimal_members(family):
+    """The members of a family of sets that hold no other member."""
+    return {key for key in family if not any(other < key for other in family)}
+
+
+def brute_force_any_of(task, atoms):
+    """All minimal exploit sets that reach any one of ``atoms``: the minimal
+    members of the union of each atom's ``brute_force_minimal_sets``."""
+    return minimal_members(set().union(
+        *(brute_force_minimal_sets(task.with_goal((atom,))) for atom in atoms)))
+
+
 # --- exhaustive grounding ------------------------------------------------------
 
 def naive_ground_all(domain, problem):

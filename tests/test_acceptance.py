@@ -38,8 +38,9 @@ from chainplan.pddlgen import (
 from chainplan.planner import applicable_actions
 from chainplan.synth import purdue_fixture, random_fixture
 
-from conftest import FIXTURES, MOTIVATING_CHAIN, aix_invscout_record, build_task
-from oracles import brute_force_minimal_sets, cvss_required_privilege_letter
+from conftest import FIXTURES, MOTIVATING_CHAIN, aix_invscout_record, any_level_goal, \
+    build_task
+from oracles import brute_force_minimal_sets, cvss_required_privilege_letter, minimal_members
 from test_classifier import CVSS_TABLE, _LETTER
 from test_pddlgen import EXPECTED_COUCHDB
 
@@ -87,7 +88,7 @@ def test_c2_alternative_chain_discovery(motivating_network, bpf_matrix):
 
 def test_c3_oracle_equivalence():
     start = time.perf_counter()
-    qualifying = compared = non_empty = 0
+    qualifying = compared = non_empty = any_level = 0
     seed = 0
     while qualifying < 200:
         seed += 1
@@ -102,23 +103,33 @@ def test_c3_oracle_equivalence():
         if len(task.exploit_actions) > 12 or len(net.hosts) > 6:
             continue
         qualifying += 1
-        # the default goal, then every target's goals as the sweep poses them
-        goals = [task] + [task.with_goal((compromised_atom(host, level).render(),))
-                          for host in sorted(net.host_names())
-                          if host != net.scenario.attacker_host
-                          for level in (PrivilegeLevel.LOW, PrivilegeLevel.HIGH,
-                                        PrivilegeLevel.ROOT)]
-        for goal_task in goals:
-            keys = {exploit_key(goal_task, p) for p in find_top_k(goal_task, 10 ** 6)}
-            assert keys == brute_force_minimal_sets(goal_task), \
-                f"seed {seed} disagrees on {sorted(goal_task.goal)}"
+        # (task, goal CNF or None for the task's, oracle): the default goal,
+        # then each target at every level, and at any level as the sweep asks
+        searches = [(task, None, brute_force_minimal_sets(task))]
+        for host in sorted(net.host_names()):
+            if host == net.scenario.attacker_host:
+                continue
+            per_level = []
+            for level in (PrivilegeLevel.LOW, PrivilegeLevel.HIGH, PrivilegeLevel.ROOT):
+                goal_task = task.with_goal((compromised_atom(host, level).render(),))
+                per_level.append(brute_force_minimal_sets(goal_task))
+                searches.append((goal_task, None, per_level[-1]))
+            any_level_oracle = minimal_members(set().union(*per_level))
+            searches.append((task, any_level_goal(host), any_level_oracle))
+        for goal_task, goal, oracle in searches:
+            keys = {exploit_key(goal_task, p)
+                    for p in find_top_k(goal_task, 10 ** 6, goal=goal)}
+            assert keys == oracle, f"seed {seed} disagrees on {goal or sorted(goal_task.goal)}"
             compared += 1
             non_empty += bool(keys)
+            any_level += goal is not None
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     assert non_empty >= 400
+    assert any_level >= 400
     _report("3", f"top-k equals brute force on {qualifying} random tasks "
-                 f"({compared} goals, {non_empty} with plans) in {elapsed:.1f}s")
+                 f"({compared} goals, {any_level} of them any-level, {non_empty} with plans) "
+                 f"in {elapsed:.1f}s")
 
 
 def test_c4_sensitivity_direction(motivating_network):

@@ -15,9 +15,10 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    # stderr may carry log warnings (demo 03's sweep reports a budget stop)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                             env=env, cwd=ROOT, timeout=300)
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+    # every search in the demos drains or proves its plans complete
+    assert "enumeration stopped" not in result.stderr

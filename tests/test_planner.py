@@ -56,8 +56,9 @@ from chainplan.errors import (
     UnknownActionId,
 )
 
-from conftest import FIXTURES, MOTIVATING_CHAIN, build_task, fixture_pair
-from oracles import brute_force_minimal_sets, naive_ground_all, naive_ground_ids, saturate
+from conftest import FIXTURES, MOTIVATING_CHAIN, any_level_goal, build_task, fixture_pair
+from oracles import brute_force_any_of, brute_force_minimal_sets, naive_ground_all, \
+    naive_ground_ids, saturate
 
 
 class TestGround:
@@ -245,7 +246,8 @@ class TestWithGoal:
             assert swapped.actions == fresh.actions
             assert swapped.goal == fresh.goal
             assert planner._saturate(swapped) == planner._saturate(fresh)
-            assert find_top_k(swapped, 20) == find_top_k(fresh, 20)
+            assert find_top_k(swapped, 20) == find_top_k(fresh, 20) \
+                == find_top_k(task, 20, goal=(frozenset({goal}),))
 
 
 class TestApply:
@@ -427,19 +429,23 @@ class TestCompletenessCertificate:
         answers = []
         for seed, task in _oracle_tasks(range(60)):
             net, _ = fixture_pair(seed)
-            goals = [task] + [task.with_goal((compromised_atom(host, PrivilegeLevel.ROOT)
-                                              .render(),)) for host in sorted(net.host_names())]
-            for goal_task in goals:
-                oracle = brute_force_minimal_sets(goal_task)
+            # (task, goal CNF or None for the task's, oracle)
+            goals = [(task, None, brute_force_minimal_sets(task))]
+            for host in sorted(net.host_names()):
+                root = task.with_goal((compromised_atom(host, PrivilegeLevel.ROOT).render(),))
+                goal = any_level_goal(host)
+                goals += [(root, None, brute_force_minimal_sets(root)),
+                          (task, goal, brute_force_any_of(task, goal[0]))]
+            for goal_task, goal, oracle in goals:
                 for budget in (1, 25, 100_000):
                     for k in (1, 13, 10 ** 6):
-                        search = planner._Search(goal_task)
+                        search = planner._Search(goal_task, goal)
                         plans = search.run(k, len(goal_task.actions), budget)
                         answer = search.complete(_masks(search, goal_task, plans))
                         if answer is not None:
                             found = {exploit_key(goal_task, p) for p in plans}
                             assert answer == (found == oracle), \
-                                (seed, goal_task.goal, budget, k)
+                                (seed, goal or goal_task.goal, budget, k)
                         answers.append((answer, bool(plans)))
         assert None not in {answer for answer, _ in answers}
         # complete with plans found, and incomplete with and without plans
@@ -547,9 +553,10 @@ class TestSuccessorTable:
             "plant h0 agent", "tcp_connect z0 h0 h1 p agent", "rce h0 h1 agent"))]
 
 
-def _relevant_by_passes(task):
-    """Backward relevance closure by repeated passes over every action."""
-    relevant_atoms = set(task.goal)
+def _relevant_by_passes(task, goal):
+    """Backward relevance closure from the atoms of the CNF ``goal``, by
+    repeated passes over every action."""
+    relevant_atoms = {atom for clause in goal for atom in clause}
     relevant_ids = set()
     changed = True
     while changed:
@@ -575,9 +582,11 @@ class TestSearchSetUp:
         _, _, task = build_task(net, matrix)
         assert planner._saturate(task) == saturate(task.init, task.actions)
         for host in net.host_names():
-            for level in (PrivilegeLevel.LOW, PrivilegeLevel.ROOT):
-                swapped = task.with_goal((compromised_atom(host, level).render(),))
-                assert planner._relevant_action_ids(swapped) == _relevant_by_passes(swapped)
+            low, root = (compromised_atom(host, level).render()
+                         for level in (PrivilegeLevel.LOW, PrivilegeLevel.ROOT))
+            for goal in ([{low}], [{root}], any_level_goal(host)):
+                assert planner._relevant_action_ids(task, goal) == \
+                    _relevant_by_passes(task, goal)
 
 
 class TestCheckPlan:

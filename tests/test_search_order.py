@@ -2,11 +2,13 @@
 
 ``tests/golden/search_order.json`` pins the step ids of every plan on
 ``random_fixture(0..29)`` for k in {1, 13} and several expansion budgets,
-and the three per-level searches of every host in a purdue@21 sweep at the
-sweep's default budget, where data1's ROOT search is proved complete with
-5 plans long before the budget. The file
-was written by the string-set search that preceded the interned core, by
-running this module as a script:
+and a single-atom search at LOW, HIGH and ROOT for every target host of
+purdue@21, at the sweep's default k and budget, where data1's ROOT search
+is proved complete with 5 plans long before the budget. Those per-level
+searches are the ones the sweep ran before it asked for each host at any
+level in one search; they stay as orders of ``find_top_k`` on one-atom
+goals. The file was written by the string-set search that preceded the
+interned core, by running this module as a script:
 
     PYTHONPATH=src python tests/test_search_order.py
 """
