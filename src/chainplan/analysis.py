@@ -52,8 +52,6 @@ class ChainSearch:
     plans: tuple[Plan, ...]
     task: PlanningTask | None
     relevance: RelevanceResult
-    domain: PddlDocument | None
-    problem: PddlDocument | None
 
 
 def find_chains(net: NetworkSpec, matrix: ExploitMatrix, k: int,
@@ -61,13 +59,11 @@ def find_chains(net: NetworkSpec, matrix: ExploitMatrix, k: int,
                 max_expansions: int = 100_000) -> ChainSearch:
     """Compile, then enumerate the top-k chains, in one call."""
     try:
-        relevance, domain, problem, task = compile_network(net, matrix)
+        relevance, _, _, task = compile_network(net, matrix)
     except EmptyDomain as exc:
-        return ChainSearch(plans=(), task=None, relevance=exc.relevance,
-                           domain=None, problem=None)
+        return ChainSearch(plans=(), task=None, relevance=exc.relevance)
     plans = find_top_k(task, k, max_len=max_len, max_expansions=max_expansions)
-    return ChainSearch(plans=tuple(plans), task=task, relevance=relevance,
-                       domain=domain, problem=problem)
+    return ChainSearch(plans=tuple(plans), task=task, relevance=relevance)
 
 
 # --- chain reports ----------------------------------------------------------------

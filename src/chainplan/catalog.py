@@ -525,7 +525,7 @@ def load_records(path) -> list[ExploitRecord]:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return records_from_dict(data)
 

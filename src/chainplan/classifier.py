@@ -366,6 +366,25 @@ def _cache_key(record: ExploitRecord, model: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _read_cached(path: Path, record_id: str) -> ClassificationOutcome | None:
+    """The outcome cached at ``path``, or None on a miss. An entry that does
+    not read back as this record's outcome (not UTF-8 JSON, or JSON of another
+    shape) is a miss too, logged once; the fresh outcome then overwrites it."""
+    if not path.exists():
+        return None
+    try:
+        data = json.loads(path.read_text("utf-8"))
+        if isinstance(data, dict) and data.get("record_id") == record_id \
+                and isinstance(data.get("predicted"), str) \
+                and isinstance(data.get("provenance"), str) \
+                and isinstance(data.get("raw_model_reply"), (str, type(None))):
+            return ClassificationOutcome.from_dict(data)
+    except (ValueError, UnknownClass):  # ValueError: not UTF-8, or not JSON
+        pass
+    logger.warning("ignoring corrupt classifier cache entry %s", path)
+    return None
+
+
 def apply_cvss_override(predicted: ExploitClass, record: ExploitRecord) -> tuple[ExploitClass, bool]:
     """Substitute the required privilege from CVSS 3.x when that yields a valid class.
 
@@ -395,10 +414,9 @@ def classify_llm(record: ExploitRecord, client: LlmEndpoint,
     cache_path = None
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"{_cache_key(record, client.model)}.json"
-        if cache_path.exists():
-            return ClassificationOutcome.from_dict(
-                json.loads(cache_path.read_text("utf-8"))
-            )
+        cached = _read_cached(cache_path, record.id)
+        if cached is not None:
+            return cached
 
     bundle = build_prompt(record, shots)
     messages = bundle.as_messages()

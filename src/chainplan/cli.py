@@ -22,7 +22,7 @@ from . import analysis, classifier
 from .catalog import PrivilegeLevel, load_catalog, load_records, save_records
 from .errors import ChainplanError, PlannerTimeout, ProcessError, SchemaError, UnknownActionId
 from .netmodel import load_network
-from .pddlgen import to_pddl, parse_plan
+from .pddlgen import read_plan, to_pddl
 from .planner import ExternalPlannerConfig, check_plan, ground, match_plan, run_external
 
 logger = logging.getLogger(__name__)
@@ -311,7 +311,7 @@ def cmd_validate_plan(args) -> int:
     _require(args, "network", "catalog")
     net = _retarget(load_network(args.network), args)
     *_, task = analysis.compile_network(net, load_catalog(args.catalog))
-    parsed = parse_plan(Path(args.plan).read_text(encoding="utf-8"))
+    parsed = read_plan(args.plan)
     try:
         plan = match_plan(task, parsed)
     except UnknownActionId as exc:

@@ -283,7 +283,7 @@ def load_network(path) -> NetworkSpec:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return network_from_dict(data)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .catalog import (
     ExploitMatrix,
@@ -843,3 +844,17 @@ def parse_plan(text: str) -> PlanFile:
             raise PddlSyntaxError("malformed plan step", line_no, 1)
         steps.append(PlanStep(name=parts[0], args=tuple(parts[1:]), cost=cost))
     return PlanFile(steps=tuple(steps), total_cost=total_cost)
+
+
+def read_plan(path, name=None) -> PlanFile:
+    """``parse_plan`` of the file at ``path``. A byte that is not UTF-8
+    raises PddlSyntaxError at its line and column, naming the file
+    (``name``, by default the path)."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = data[:exc.start].decode("utf-8").split("\n")
+        raise PddlSyntaxError(f"byte 0x{data[exc.start]:02x} in {name or path} is not UTF-8",
+                              len(lines), len(lines[-1]) + 1) from None
+    return parse_plan(text)

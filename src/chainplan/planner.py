@@ -28,7 +28,7 @@ from .errors import (
     TypeMismatch,
     UnknownActionId,
 )
-from .pddlgen import CONNECT_ACTIONS, Atom, PddlDocument, PlanFile, parse_pddl, parse_plan
+from .pddlgen import CONNECT_ACTIONS, Atom, PddlDocument, PlanFile, parse_pddl, read_plan
 
 logger = logging.getLogger(__name__)
 
@@ -554,45 +554,6 @@ def check_plan(task: PlanningTask, plan: Plan) -> PlanCheck:
 
 # --- search --------------------------------------------------------------------
 
-def _saturate(task: PlanningTask) -> frozenset:
-    """Delete-free reachability fixpoint over all actions.
-
-    One worklist pass: every action counts its clauses that init leaves
-    unsatisfied, and each atom watches the clauses it would satisfy. An
-    action fires once its count reaches zero.
-    """
-    state = set(task.init)
-    unsatisfied: list[int] = []  # per action
-    owner: list[int] = []  # per watched clause: its action
-    watchers: dict[str, list[int]] = {}  # atom -> watched clauses
-    ready = []
-    for index, action in enumerate(task.actions):
-        count = 0
-        for clause in action.precondition:
-            if clause.isdisjoint(state):
-                for atom in clause:
-                    watchers.setdefault(atom, []).append(len(owner))
-                owner.append(index)
-                count += 1
-        unsatisfied.append(count)
-        if not count:
-            ready.append(index)
-    satisfied = [False] * len(owner)
-    while ready:
-        for effect in task.actions[ready.pop()].effects:
-            if effect in state:
-                continue
-            state.add(effect)
-            for clause in watchers.get(effect, ()):
-                if not satisfied[clause]:
-                    satisfied[clause] = True
-                    index = owner[clause]
-                    unsatisfied[index] -= 1
-                    if not unsatisfied[index]:
-                        ready.append(index)
-    return frozenset(state)
-
-
 def _relevant_action_ids(task: PlanningTask, goal) -> set:
     """Backward relevance closure from the atoms of ``goal``, a CNF.
 
@@ -660,8 +621,6 @@ class _Search:
         else:  # with any connect a goal atom needs that grounding left out
             task = task.with_goal(frozenset().union(*goal))
         init = task.init
-        reached = _saturate(task)
-        self.goal_reachable = all(not clause.isdisjoint(reached) for clause in goal)
         relevant = _relevant_action_ids(task, goal)
 
         def prepare(precondition):
@@ -843,7 +802,9 @@ class _Search:
         return True
 
     def run(self, k: int, max_len: int, max_expansions: int):
-        if not self.goal_reachable:
+        # the certificate of the empty family: no plan unless the goal is
+        # reachable at all (``complete`` rather than ``_proved``, which logs)
+        if self.complete(()):
             return []
         by_gate, support, successor, finish = (self.by_gate, self.support, self.successor,
                                                self.finish)
@@ -1033,7 +994,7 @@ def run_external(domain_path, problem_path, config: ExternalPlannerConfig) -> li
 
         plans = []
         for plan_path in files:
-            parsed = parse_plan(plan_path.read_text(encoding="utf-8"))
+            parsed = read_plan(plan_path, plan_path.name)
             try:
                 plan = match_plan(task, parsed)
             except UnknownActionId as exc:

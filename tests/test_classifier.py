@@ -237,6 +237,32 @@ class TestClassifyLlm:
         assert len(cached) == 1
         ClassificationOutcome.from_dict(json.loads(cached[0].read_text()))
 
+    @pytest.mark.parametrize("entry", [
+        b"{not json",
+        b"\xff\xfe{bad",
+        b"[]",
+        b'{"record_id": "rec", "provenance": "llm"}',
+        b'{"record_id": "rec", "predicted": 5, "provenance": "llm"}',
+        b'{"record_id": "rec", "predicted": "NOT_A_CLASS", "provenance": "llm"}',
+        b'{"record_id": "other", "predicted": "PE_L_R", "provenance": "llm"}',
+    ])
+    def test_corrupt_cache_entry_is_a_miss(self, tmp_path, caplog, entry):
+        record = _record()
+        expected = classify_llm(record, StubEndpoint(["RCE_TCP_N_L"]), cache_dir=tmp_path)
+        (cached,) = tmp_path.glob("*.json")
+        cached.write_bytes(entry)
+        client = StubEndpoint(["RCE_TCP_N_L", "SHOULD-NOT-BE-CALLED"])
+        with caplog.at_level("WARNING", logger="chainplan.classifier"):
+            assert classify_llm(record, client, cache_dir=tmp_path) == expected
+        assert len(client.calls) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"ignoring corrupt classifier cache entry {cached}"]
+        # overwritten with the fresh outcome, which the next call reads back
+        assert ClassificationOutcome.from_dict(json.loads(cached.read_text())) == expected
+        assert list(tmp_path.iterdir()) == [cached]
+        assert classify_llm(record, client, cache_dir=tmp_path) == expected
+        assert len(client.calls) == 1
+
 
 # --- evaluate ---------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import json
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -70,8 +71,6 @@ class TestPlan:
 
     def test_external_planner(self, capsys, tmp_path, motivating_network,
                               motivating_matrix):
-        import stat
-
         plan_text = "\n".join(f"{s} (1)" for s in MOTIVATING_CHAIN) + "\n"
         script = tmp_path / "fake_planner.sh"
         script.write_text("#!/bin/sh\ncat > \"$3\" <<'PLAN'\n" + plan_text + "PLAN\n")
@@ -91,8 +90,6 @@ class TestPlan:
             == MOTIVATING_CHAIN
 
     def test_external_timeout_exits_2(self, capsys, tmp_path):
-        import stat
-
         script = tmp_path / "slow.sh"
         script.write_text("#!/bin/sh\nsleep 5\n")
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
@@ -428,6 +425,44 @@ class TestUsageAndInputErrors:
                                  "--catalog", CATALOG, "--plan", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--network", "{bad}", "--catalog", CATALOG),
+        ("plan", "--network", NETWORK, "--catalog", "{bad}"),
+        ("classify", "--catalog", "{bad}", "--out", "{out}", "--offline"),
+        ("validate-plan", "--network", NETWORK, "--catalog", CATALOG, "--plan", "{bad}"),
+        ("plan", "--network", NETWORK, "--catalog", CATALOG, "--planner", "external",
+         "--config", "{bad}"),
+    ])
+    def test_non_utf8_input_exits_1(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe{bad")
+        argv = [a.format(bad=bad, out=tmp_path / "out.json") for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
+    def test_non_utf8_plan_names_its_line_and_column(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_bytes(b"; cost = 1\n  ab\xffc\n")
+        code, out, err = run_cli(capsys, "validate-plan", "--network", NETWORK,
+                                 "--catalog", CATALOG, "--plan", str(plan))
+        assert (code, out) == (1, "")
+        assert err == f"error: line 2, column 5: byte 0xff in {plan} is not UTF-8\n"
+
+    def test_non_utf8_external_plan_exits_1(self, capsys, tmp_path):
+        script = tmp_path / "planner.sh"
+        script.write_text("#!/bin/sh\nprintf '\\377\\376{bad' > \"$3\"\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"external": {
+            "command": f"{script} {{domain}} {{problem}} {{plan_out}}"}}))
+        code, out, err = run_cli(capsys, "plan", "--network", NETWORK,
+                                 "--catalog", CATALOG, "--planner", "external",
+                                 "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == "error: line 1, column 1: byte 0xff in plan is not UTF-8\n"
 
     def test_file_as_out_directory_exits_1(self, capsys, tmp_path):
         out_file = tmp_path / "taken"

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainplan import (
     ExploitMatrix,
@@ -24,14 +25,16 @@ from chainplan.pddlgen import (
     to_pddl,
 )
 from chainplan.errors import (
+    ChainplanError,
     EmptyDomain,
     PddlSyntaxError,
     UnknownExploit,
     UnsupportedFeature,
 )
+from chainplan.planner import ground
 from chainplan.synth import purdue_fixture
 
-from conftest import build_task
+from conftest import MOTIVATING_CHAIN, build_task
 
 PDDL_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_-]*")
 
@@ -418,3 +421,59 @@ class TestParsePlan:
     def test_malformed_step(self):
         with pytest.raises(PddlSyntaxError):
             parse_plan("(a (b) c)\n")
+
+
+# --- fuzzing: mutated documents are accepted or rejected with a ChainplanError ---
+
+_FUZZ_TOKENS = ("(", ")", " ", "\n", ";", "-", "?x", "and", "or", "not", "define",
+                "domain", "problem", ":action", ":parameters", ":precondition",
+                ":effect", ":predicates", ":types", ":constants", ":objects", ":init",
+                ":goal", ":requirements", ":strips", "(1)", "(0)", "; cost = 3")
+
+
+@st.composite
+def _mutated(draw, text):
+    """``text`` after one to four deletions, insertions or duplications."""
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = min(len(text), start + draw(st.integers(0, 40)))
+        op = draw(st.sampled_from(("delete", "insert", "duplicate")))
+        if op == "delete":
+            text = text[:start] + text[end:]
+        elif op == "insert":
+            token = draw(st.sampled_from(_FUZZ_TOKENS) | st.text(max_size=3))
+            text = text[:start] + token + text[start:]
+        else:
+            text = text[:end] + text[start:end] + text[end:]
+    return text
+
+
+def _assert_located(exc: ChainplanError):
+    # a syntax error's message leads with its position
+    if isinstance(exc, PddlSyntaxError):
+        assert str(exc).startswith(f"line {exc.line}, column {exc.column}: ")
+
+
+class TestParserFuzz:
+    @pytest.mark.parametrize("side", ["domain", "problem"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parse_then_ground_is_total(self, motivating_task, side, data):
+        domain, problem, _ = motivating_task
+        texts = {"domain": to_pddl(domain), "problem": to_pddl(problem)}
+        texts[side] = data.draw(_mutated(texts[side]))
+        try:
+            ground(parse_pddl(texts["domain"]), parse_pddl(texts["problem"]))
+        except ChainplanError as exc:
+            _assert_located(exc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_parse_plan_is_total(self, data):
+        text = "".join(f"({step}) (1)\n" for step in MOTIVATING_CHAIN) + "; cost = 5\n"
+        try:
+            plan = parse_plan(data.draw(_mutated(text)))
+        except ChainplanError as exc:
+            _assert_located(exc)
+        else:
+            assert all(step.name and step.cost >= 1 for step in plan.steps)

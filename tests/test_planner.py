@@ -245,7 +245,6 @@ class TestWithGoal:
             assert action_id in {a.id for a in swapped.actions}
             assert swapped.actions == fresh.actions
             assert swapped.goal == fresh.goal
-            assert planner._saturate(swapped) == planner._saturate(fresh)
             assert find_top_k(swapped, 20) == find_top_k(fresh, 20) \
                 == find_top_k(task, 20, goal=(frozenset({goal}),))
 
@@ -495,6 +494,18 @@ class TestCompletenessCertificate:
         assert search.complete([0]) is True
         assert search.complete([]) is False
 
+    def test_an_unreachable_goal_stops_before_expanding(self, motivating_task, caplog):
+        # db_server ROOT makes exploits relevant, but no action grants
+        # web_server ROOT: the empty family is complete, so not even a budget
+        # of one expansion is spent or reported
+        _, _, task = motivating_task
+        goal = tuple(frozenset((compromised_atom(host, PrivilegeLevel.ROOT).render(),))
+                     for host in ("web_server", "db_server"))
+        assert planner._Search(task, goal).complete(()) is True
+        with caplog.at_level("DEBUG", logger="chainplan.planner"):
+            assert find_top_k(task, 13, max_expansions=1, goal=goal) == []
+        assert caplog.records == []
+
 
 class TestSuccessorTable:
     """The search keys each exploit's step by ``delta & support``. That is
@@ -572,7 +583,9 @@ def _relevant_by_passes(task, goal):
 
 
 class TestSearchSetUp:
-    """The worklist set-up helpers return what repeated-pass fixpoints do."""
+    """The worklist relevance closure returns what a repeated-pass fixpoint
+    does, and the search's up-front reachability test (the certificate of
+    the empty family) agrees with the oracle's saturation."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_repeated_passes(self, seed):
@@ -580,13 +593,15 @@ class TestSearchSetUp:
         if not select_relevant_exploits(net, matrix).relevant:
             pytest.skip("nothing relevant")
         _, _, task = build_task(net, matrix)
-        assert planner._saturate(task) == saturate(task.init, task.actions)
+        reached = saturate(task.init, task.actions)
         for host in net.host_names():
             low, root = (compromised_atom(host, level).render()
                          for level in (PrivilegeLevel.LOW, PrivilegeLevel.ROOT))
             for goal in ([{low}], [{root}], any_level_goal(host)):
                 assert planner._relevant_action_ids(task, goal) == \
                     _relevant_by_passes(task, goal)
+                unreachable = any(reached.isdisjoint(clause) for clause in goal)
+                assert planner._Search(task, goal).complete(()) is unreachable, (host, goal)
 
 
 class TestCheckPlan:
