@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -22,7 +20,7 @@ from . import analysis, classifier
 from .catalog import PrivilegeLevel, load_catalog, load_records, save_records
 from .errors import ChainplanError, PlannerTimeout, ProcessError, SchemaError, UnknownActionId
 from .netmodel import load_network
-from .pddlgen import read_plan, to_pddl
+from .pddlgen import parse_plan, read_utf8, to_pddl
 from .planner import ExternalPlannerConfig, check_plan, ground, match_plan, run_external
 
 logger = logging.getLogger(__name__)
@@ -110,7 +108,7 @@ def cmd_classify(args) -> int:
             return classifier.classify_llm(record, client, shots,
                                            cache_dir=args.cache_dir)
 
-        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
             outcomes = list(pool.map(classify_one, unclassified))
         by_id = {o.record_id: o for o in outcomes}
         classified = [
@@ -211,9 +209,11 @@ def _external_config(path: str | None) -> ExternalPlannerConfig:
     if "command" not in external:
         raise ChainplanError("external planner requires config key external.command")
     timeout_s = external.get("timeout_s", 300.0)
+    # subprocess waits through poll(), whose timeout is at most 2**31 - 1 milliseconds
     if isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float)) \
-            or not 0 < timeout_s < math.inf:
-        raise SchemaError(f"must be a positive number in config {path}", "/external/timeout_s")
+            or not 0 < timeout_s <= 2_147_483:
+        raise SchemaError(f"must be a positive number of seconds, at most 2147483, "
+                          f"in config {path}", "/external/timeout_s")
     plan_glob = external.get("plan_glob", "plan*")
     parts = Path(plan_glob).parts
     # Path.glob rejects some of these with a raw error; ".." would leave the run's directory
@@ -241,14 +241,9 @@ def cmd_plan(args) -> int:
     if args.planner == "external":
         config = _external_config(args.config)
         relevance, domain, problem = analysis.emit_documents(net, matrix)
-        with tempfile.TemporaryDirectory(prefix="chainplan-cli-") as tmp:
-            domain_path = Path(tmp) / "domain.pddl"
-            problem_path = Path(tmp) / "problem.pddl"
-            domain_path.write_text(to_pddl(domain), encoding="utf-8")
-            problem_path.write_text(to_pddl(problem), encoding="utf-8")
-            plans = run_external(domain_path, problem_path, config)
+        plans = run_external(to_pddl(domain), to_pddl(problem), config)
         # the reports need the record ids, which the task run_external grounds
-        # from the written text does not carry; ground only once plans are in
+        # from the text does not carry; ground only once plans are in
         task = ground(domain, problem)
     else:
         search = analysis.find_chains(net, matrix, args.k, max_len=args.max_len,
@@ -311,7 +306,7 @@ def cmd_validate_plan(args) -> int:
     _require(args, "network", "catalog")
     net = _retarget(load_network(args.network), args)
     *_, task = analysis.compile_network(net, load_catalog(args.catalog))
-    parsed = read_plan(args.plan)
+    parsed = parse_plan(read_utf8(args.plan))
     try:
         plan = match_plan(task, parsed)
     except UnknownActionId as exc:
@@ -373,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no LLM calls; keep existing labels")
     p.add_argument("--endpoint", help="chat-completions endpoint URL")
     p.add_argument("--model", help="model identifier")
-    p.add_argument("--parallelism", type=int, help="concurrent LLM calls")
+    p.add_argument("--parallelism", type=_positive_int, help="concurrent LLM calls")
     p.add_argument("--cache-dir", help="outcome cache directory")
     p.set_defaults(func=cmd_classify)
 

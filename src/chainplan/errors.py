@@ -63,7 +63,7 @@ class MissingTruth(ChainplanError):
 
 # --- netmodel --------------------------------------------------------------
 
-class DanglingReference(ChainplanError):
+class DanglingReference(SchemaError):
     """A network document references a host/subnet/product that does not exist."""
 
 

@@ -60,8 +60,6 @@ class Host:
     udp_listen: tuple[ProductInstance, ...] = ()
 
     def __post_init__(self):
-        if not self.subnets:
-            raise SchemaError(f"host {self.name!r} belongs to no subnet")
         for listener in self.tcp_listen + self.udp_listen:
             if listener not in self.products:
                 raise DanglingReference(
@@ -90,44 +88,58 @@ class NetworkSpec:
     _by_name: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        # pointers name the field of the network document each check reads
         if not self.hosts:
-            raise SchemaError("network declares no hosts")
+            raise SchemaError("network declares no hosts", "/hosts")
         names = {}
         all_names = set(self.subnets)
         if len(all_names) != len(self.subnets):
-            raise SchemaError("duplicate subnet name")
-        for host in self.hosts:
+            raise SchemaError("duplicate subnet name", next(
+                f"/subnets/{j}" for j, s in enumerate(self.subnets) if s in self.subnets[:j]))
+        for i, host in enumerate(self.hosts):
+            if not host.subnets:
+                raise SchemaError(f"host {host.name!r} belongs to no subnet",
+                                  f"/hosts/{i}/subnets")
             if host.name in names:
-                raise SchemaError(f"duplicate host name {host.name!r}")
+                raise SchemaError(f"duplicate host name {host.name!r}", f"/hosts/{i}/name")
             if host.name in all_names:
-                raise SchemaError(f"host name {host.name!r} collides with a subnet name")
+                raise SchemaError(f"host name {host.name!r} collides with a subnet name",
+                                  f"/hosts/{i}/name")
             names[host.name] = host
             all_names.add(host.name)
             for subnet in host.subnets:
                 if subnet not in self.subnets:
                     raise DanglingReference(
-                        f"host {host.name!r} references unknown subnet {subnet!r}"
-                    )
+                        f"host {host.name!r} references unknown subnet {subnet!r}",
+                        f"/hosts/{i}/subnets/{host.subnets.index(subnet)}")
         for ident in sorted(all_names):
             if not _NAME_RE.fullmatch(ident):
-                raise SchemaError(f"name {ident!r} is not a valid identifier")
+                raise SchemaError(f"name {ident!r} is not a valid identifier",
+                                  self._declaration(ident))
             if ident.lower() in _RESERVED_NAMES:
-                raise SchemaError(f"name {ident!r} is reserved")
-        for src, dst in self.trusted_channels:
-            if src not in names:
-                raise DanglingReference(f"trusted channel references unknown host {src!r}")
-            if dst not in names:
-                raise DanglingReference(f"trusted channel references unknown host {dst!r}")
-            if src == dst:
-                raise SchemaError(f"trusted channel from {src!r} to itself")
+                raise SchemaError(f"name {ident!r} is reserved", self._declaration(ident))
+        for i, channel in enumerate(self.trusted_channels):
+            for j, end in enumerate(channel):
+                if end not in names:
+                    raise DanglingReference(f"trusted channel references unknown host {end!r}",
+                                            f"/trusted_channels/{i}/{j}")
+            if channel[0] == channel[1]:
+                raise SchemaError(f"trusted channel from {channel[0]!r} to itself",
+                                  f"/trusted_channels/{i}")
         for attr in ("attacker_host", "goal_host"):
             if getattr(self.scenario, attr) not in names:
                 raise DanglingReference(
-                    f"scenario references unknown host {getattr(self.scenario, attr)!r}"
-                )
+                    f"scenario references unknown host {getattr(self.scenario, attr)!r}",
+                    f"/scenario/{attr}")
         if self.scenario.attacker_host == self.scenario.goal_host:
-            raise SchemaError("attacker host and goal host must differ")
+            raise SchemaError("attacker host and goal host must differ", "/scenario/goal_host")
         object.__setattr__(self, "_by_name", names)
+
+    def _declaration(self, name: str) -> str:
+        """The pointer to where subnet or host ``name`` is declared."""
+        if name in self.subnets:
+            return f"/subnets/{self.subnets.index(name)}"
+        return f"/hosts/{self.host_names().index(name)}/name"
 
     def host(self, name: str) -> Host:
         try:
@@ -178,9 +190,8 @@ def _resolve_listen(host_name: str, tokens, products, pointer: str) -> list[Prod
         hit = by_token.get(token) or by_cpe.get(token)
         if hit is None:
             raise DanglingReference(
-                f"host {host_name!r} listen entry {token!r} matches no installed product "
-                f"({pointer}/{i})"
-            )
+                f"host {host_name!r} listen entry {token!r} matches no installed product",
+                f"{pointer}/{i}")
         resolved.append(hit)
     return resolved
 

@@ -567,65 +567,60 @@ class _Token:
     column: int
 
 
+# one match per token: a parenthesis, a symbol, a comment or a newline; the
+# space, tab and carriage return between them only separate tokens. ``re``
+# compiles it on first use, not at import.
+_TOKEN_PATTERN = r"[()]|[^ \t\r\n();]+|;[^\n]*|\n"
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in re.finditer(_TOKEN_PATTERN, text):
+        lexeme = match.group()
+        if lexeme == "\n":
             line += 1
-            column = 1
-            i += 1
-        elif ch in " \t\r":
-            column += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, column))
-            column += 1
-            i += 1
-        else:
-            start = i
-            start_col = column
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                column += 1
-            tokens.append(_Token(text[start:i], line, start_col))
+            line_start = match.end()
+        elif lexeme[0] != ";":
+            tokens.append(_Token(lexeme, line, match.start() - line_start + 1))
     return tokens
 
 
-def _read_sexpr(tokens: list[_Token], pos: int):
-    """The s-expression starting at ``pos`` (a token, or a list of nodes) and
-    the position after it. Iterative, so nesting depth is not bounded by the
-    interpreter's recursion limit."""
-    open_lists: list[tuple[_Token, list]] = []  # (opening parenthesis, items so far)
-    while pos < len(tokens):
-        token = tokens[pos]
-        pos += 1
+class _List(list):
+    """A parenthesized list of nodes, positioned at its opening parenthesis."""
+
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int):
+        super().__init__()
+        self.line, self.column = line, column
+
+
+def _read_sexpr(tokens: list[_Token]):
+    """The s-expression the (non-empty) ``tokens`` open with, a token or a
+    ``_List``, and the index after it. Iterative, so nesting depth is not
+    bounded by the interpreter's recursion limit."""
+    open_lists: list[_List] = []
+    for end, token in enumerate(tokens, start=1):
         if token.text == "(":
-            open_lists.append((token, []))
+            open_lists.append(_List(token.line, token.column))
             continue
         if token.text == ")":
             if not open_lists:
                 raise PddlSyntaxError("unexpected ')'", token.line, token.column)
-            node = open_lists.pop()[1]
+            node = open_lists.pop()
         else:
             node = token
         if not open_lists:
-            return node, pos
-        open_lists[-1][1].append(node)
-    if open_lists:
-        opening = open_lists[-1][0]
-        raise PddlSyntaxError("unbalanced parenthesis", opening.line, opening.column)
-    raise PddlSyntaxError("unexpected end of input", 0, 0)
+            return node, end
+        open_lists[-1].append(node)
+    opening = open_lists[-1]
+    raise PddlSyntaxError("unbalanced parenthesis", opening.line, opening.column)
 
 
 def _expect_symbol(node, context: str) -> _Token:
     if not isinstance(node, _Token):
-        raise PddlSyntaxError(f"expected a symbol in {context}", 0, 0)
+        raise PddlSyntaxError(f"expected a symbol in {context}", node.line, node.column)
     return node
 
 
@@ -659,7 +654,7 @@ def _parse_atom(node, context: str) -> Atom:
     if isinstance(node, _Token):
         raise PddlSyntaxError(f"expected an atom in {context}", node.line, node.column)
     if not node:
-        raise PddlSyntaxError(f"empty atom in {context}", 0, 0)
+        raise PddlSyntaxError(f"empty atom in {context}", node.line, node.column)
     head = _expect_symbol(node[0], context)
     if head.text in _FORBIDDEN_HEADS:
         raise UnsupportedFeature(f"{head.text!r} is outside the delete-free subset "
@@ -675,42 +670,34 @@ def _parse_clause(node, context: str) -> Clause:
     return (_parse_atom(node, context),)
 
 
-def _parse_precondition(node) -> tuple[Clause, ...]:
+def _conjuncts(node) -> list:
+    """The members of an ``(and ...)`` node, or the node alone."""
     if isinstance(node, list) and node and isinstance(node[0], _Token) \
             and node[0].text == "and":
-        return tuple(_parse_clause(n, "precondition") for n in node[1:])
-    return (_parse_clause(node, "precondition"),)
+        return node[1:]
+    return [node]
 
 
-def _parse_effects(node) -> tuple[Atom, ...]:
-    if isinstance(node, list) and node and isinstance(node[0], _Token) \
-            and node[0].text == "and":
-        return tuple(_parse_atom(n, "effect") for n in node[1:])
-    return (_parse_atom(node, "effect"),)
-
-
-def _parse_action(nodes) -> ActionSchema:
-    name = _expect_symbol(nodes[0], ":action").text
+def _parse_action(section) -> ActionSchema:
+    """The ``(:action name :field value ...)`` section, its name present."""
+    name = _expect_symbol(section[1], ":action").text
     fields = {}
-    i = 1
-    while i < len(nodes):
-        key = _expect_symbol(nodes[i], ":action").text
-        if key not in (":parameters", ":precondition", ":effect"):
-            raise UnsupportedFeature(f"unsupported action field {key!r}")
-        if i + 1 >= len(nodes):
-            raise PddlSyntaxError(f"missing value for {key}", 0, 0)
-        fields[key] = nodes[i + 1]
-        i += 2
+    for i in range(2, len(section), 2):
+        key = _expect_symbol(section[i], ":action")
+        if key.text not in (":parameters", ":precondition", ":effect"):
+            raise UnsupportedFeature(f"unsupported action field {key.text!r}")
+        if i + 1 == len(section):
+            raise PddlSyntaxError(f"missing value for {key.text}", key.line, key.column)
+        fields[key.text] = section[i + 1]
     if ":effect" not in fields:
-        raise PddlSyntaxError(f"action {name} has no effect", 0, 0)
+        raise PddlSyntaxError(f"action {name} has no effect", section.line, section.column)
     parameters = _parse_typed_list(fields.get(":parameters", []), f"action {name}")
-    precondition = _parse_precondition(fields[":precondition"]) \
-        if ":precondition" in fields else ()
+    clauses = _conjuncts(fields[":precondition"]) if ":precondition" in fields else []
     return ActionSchema(
         name=name,
         parameters=parameters,
-        precondition=precondition,
-        effects=_parse_effects(fields[":effect"]),
+        precondition=tuple(_parse_clause(n, "precondition") for n in clauses),
+        effects=tuple(_parse_atom(n, "effect") for n in _conjuncts(fields[":effect"])),
         record_id=None,
     )
 
@@ -720,19 +707,21 @@ def parse_pddl(text: str) -> PddlDocument:
     tokens = _tokenize(text)
     if not tokens:
         raise PddlSyntaxError("empty document", 1, 1)
-    sexpr, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        extra = tokens[pos]
+    sexpr, end = _read_sexpr(tokens)
+    if end != len(tokens):
+        extra = tokens[end]
         raise PddlSyntaxError("trailing content after document", extra.line, extra.column)
     if not (isinstance(sexpr, list) and sexpr
             and isinstance(sexpr[0], _Token) and sexpr[0].text == "define"):
-        raise PddlSyntaxError("document must start with (define ...)", 1, 1)
+        raise PddlSyntaxError("document must start with (define ...)", sexpr.line,
+                              sexpr.column)
     if len(sexpr) < 2:
         raise PddlSyntaxError("missing (domain ...) or (problem ...) header",
                               sexpr[0].line, sexpr[0].column)
     header = sexpr[1]
     if not (isinstance(header, list) and len(header) == 2):
-        raise PddlSyntaxError("malformed (domain ...) or (problem ...) header", 1, 1)
+        raise PddlSyntaxError("malformed (domain ...) or (problem ...) header",
+                              header.line, header.column)
     kind = _expect_symbol(header[0], "header").text
     name = _expect_symbol(header[1], "header").text
     if kind not in ("domain", "problem"):
@@ -751,7 +740,7 @@ def parse_pddl(text: str) -> PddlDocument:
 
     for section in sexpr[2:]:
         if not (isinstance(section, list) and section and isinstance(section[0], _Token)):
-            raise PddlSyntaxError("malformed section", 1, 1)
+            raise PddlSyntaxError("malformed section", section.line, section.column)
         head = section[0]
         body = section[1:]
         if head.text == ":requirements":
@@ -775,7 +764,7 @@ def parse_pddl(text: str) -> PddlDocument:
         elif not body and head.text in (":action", ":domain"):
             raise PddlSyntaxError(f"{head.text} needs a name", head.line, head.column)
         elif head.text == ":action":
-            actions.append(_parse_action(body))
+            actions.append(_parse_action(section))
         elif head.text == ":domain":
             domain_name = _expect_symbol(body[0], ":domain").text
         elif head.text == ":objects":
@@ -785,12 +774,7 @@ def parse_pddl(text: str) -> PddlDocument:
         elif head.text == ":goal":
             if len(body) != 1:
                 raise PddlSyntaxError(":goal takes one formula", head.line, head.column)
-            node = body[0]
-            if isinstance(node, list) and node and isinstance(node[0], _Token) \
-                    and node[0].text == "and":
-                goal = tuple(_parse_atom(n, ":goal") for n in node[1:])
-            else:
-                goal = (_parse_atom(node, ":goal"),)
+            goal = tuple(_parse_atom(n, ":goal") for n in _conjuncts(body[0]))
         else:
             raise UnsupportedFeature(f"section {head.text!r} is not supported "
                                      f"(line {head.line})")
@@ -846,15 +830,14 @@ def parse_plan(text: str) -> PlanFile:
     return PlanFile(steps=tuple(steps), total_cost=total_cost)
 
 
-def read_plan(path, name=None) -> PlanFile:
-    """``parse_plan`` of the file at ``path``. A byte that is not UTF-8
-    raises PddlSyntaxError at its line and column, naming the file
-    (``name``, by default the path)."""
+def read_utf8(path, name=None) -> str:
+    """The text of the file at ``path``. A byte that is not UTF-8 raises
+    PddlSyntaxError at its line and column, naming the file (``name``, by
+    default the path)."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lines = data[:exc.start].decode("utf-8").split("\n")
         raise PddlSyntaxError(f"byte 0x{data[exc.start]:02x} in {name or path} is not UTF-8",
                               len(lines), len(lines[-1]) + 1) from None
-    return parse_plan(text)

@@ -13,7 +13,6 @@ import itertools
 import logging
 import re
 import shlex
-import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -23,12 +22,14 @@ from .errors import (
     ArityMismatch,
     InvalidExternalPlan,
     NotApplicable,
+    PddlSyntaxError,
     PlannerTimeout,
     ProcessError,
     TypeMismatch,
     UnknownActionId,
 )
-from .pddlgen import CONNECT_ACTIONS, Atom, PddlDocument, PlanFile, parse_pddl, read_plan
+from .pddlgen import (CONNECT_ACTIONS, Atom, PddlDocument, PlanFile, parse_pddl, parse_plan,
+                      read_utf8)
 
 logger = logging.getLogger(__name__)
 
@@ -951,23 +952,25 @@ def _plan_file_order(path: Path) -> tuple:
     return (path.name, 0, 0)
 
 
-def run_external(domain_path, problem_path, config: ExternalPlannerConfig) -> list[Plan]:
-    """Run an external planner and validate everything it produced.
+def run_external(domain_text: str, problem_text: str,
+                 config: ExternalPlannerConfig) -> list[Plan]:
+    """Run an external planner on PDDL text and validate everything it produced.
 
+    The two documents are written once, as ``domain.pddl`` and
+    ``problem.pddl``, into a fresh working directory where the planner runs;
+    the task the plans are checked against is grounded from the same text.
     All plan files matching ``plan_glob`` (base name plus .1, .2, ...
-    suffixes) are parsed and simulated against the internally grounded task;
-    a parsed plan that fails validation raises InvalidExternalPlan rather
-    than being silently dropped.
+    suffixes) are parsed and simulated against that task. A plan file that
+    does not parse or fails validation raises InvalidExternalPlan naming the
+    file, rather than being silently dropped.
     """
-    domain_text = Path(domain_path).read_text(encoding="utf-8")
-    problem_text = Path(problem_path).read_text(encoding="utf-8")
     task = ground(parse_pddl(domain_text), parse_pddl(problem_text))
 
     with tempfile.TemporaryDirectory(prefix="chainplan-") as tmp:
         workdir = Path(tmp)
         argv = config.argv(workdir)
-        shutil.copyfile(domain_path, workdir / "domain.pddl")
-        shutil.copyfile(problem_path, workdir / "problem.pddl")
+        (workdir / "domain.pddl").write_text(domain_text, encoding="utf-8")
+        (workdir / "problem.pddl").write_text(problem_text, encoding="utf-8")
         try:
             proc = subprocess.run(
                 argv, cwd=workdir, capture_output=True,
@@ -994,10 +997,10 @@ def run_external(domain_path, problem_path, config: ExternalPlannerConfig) -> li
 
         plans = []
         for plan_path in files:
-            parsed = read_plan(plan_path, plan_path.name)
+            text = read_utf8(plan_path, plan_path.name)
             try:
-                plan = match_plan(task, parsed)
-            except UnknownActionId as exc:
+                plan = match_plan(task, parse_plan(text))
+            except (PddlSyntaxError, UnknownActionId) as exc:
                 raise InvalidExternalPlan(f"{plan_path.name}: {exc}") from None
             verdict = check_plan(task, plan)
             if not verdict:

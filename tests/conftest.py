@@ -1,6 +1,8 @@
+import copy
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from chainplan import (
     ExploitMatrix,
@@ -99,3 +101,56 @@ def aix_invscout_record() -> ExploitRecord:
             )
         ),
     )
+
+
+# --- fuzzing decoded JSON documents ---------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(node, prefix=()):
+    """The path of every member of ``node``, parents before children."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_json(draw, doc, values=JSON_VALUES):
+    """A copy of ``doc`` with one member replaced by a drawn value, deleted or,
+    in a list, duplicated. The top level stays the object it was."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    op = draw(st.sampled_from(("replace", "delete", "duplicate")))
+    if op == "delete":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = draw(values)
+    return doc
+
+
+def resolves(doc, pointer: str) -> bool:
+    """Whether every segment of ``pointer`` but the last names a member of ``doc``."""
+    node = doc
+    for segment in pointer.split("/")[1:-1]:
+        if isinstance(node, list) and segment.isdigit() and int(segment) < len(node):
+            node = node[int(segment)]
+        elif isinstance(node, dict) and segment in node:
+            node = node[segment]
+        else:
+            return False
+    return True

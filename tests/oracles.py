@@ -2,8 +2,9 @@
 
 These deliberately re-derive results through different algorithms than the
 library: set-saturation feasibility instead of plan search, exhaustive
-cross-product grounding instead of join-based grounding, and a regex pull
-instead of the CVSS metric parser.
+cross-product grounding instead of join-based grounding, a regex pull
+instead of the CVSS metric parser, and a character-by-character scan instead
+of the PDDL tokenizer's regex.
 """
 from __future__ import annotations
 
@@ -193,3 +194,38 @@ def weighted_prf(pairs):
         recall += support / total * r
         f1 += support / total * f
     return precision, recall, f1
+
+
+# --- PDDL tokens, one character at a time -------------------------------------
+
+def tokenize(text):
+    """``(text, line, column)`` of each PDDL token: parentheses, and symbols
+    running to the next space, tab, carriage return, newline, parenthesis or
+    ``;``. A ``;`` comment runs to the end of its line."""
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+        elif ch in " \t\r":
+            column += 1
+            i += 1
+        elif ch == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append((ch, line, column))
+            column += 1
+            i += 1
+        else:
+            start = i
+            start_col = column
+            while i < len(text) and text[i] not in " \t\r\n();":
+                i += 1
+                column += 1
+            tokens.append((text[start:i], line, start_col))
+    return tokens

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chainplan import (
     ANY,
@@ -24,9 +24,15 @@ from chainplan import (
     split_version,
 )
 from chainplan.catalog import ExploitMatrix, ExploitRecord, product_token
-from chainplan.errors import DuplicateId, MalformedCpe, SchemaError, UnknownClass
+from chainplan.errors import (
+    ChainplanError,
+    DuplicateId,
+    MalformedCpe,
+    SchemaError,
+    UnknownClass,
+)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, JSON_VALUES, mutated_json, resolves
 
 EXPECTED_CLASS_NAMES = {
     "PE_L_H", "PE_L_R", "PE_H_R",
@@ -277,6 +283,22 @@ class TestRecordsAndCatalog:
         with pytest.raises(SchemaError) as err:
             records_from_dict(data)
         assert err.value.pointer == pointer
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_catalog_is_accepted_or_rejected(self, data):
+        catalog = json.loads((FIXTURES / "motivating_catalog.json").read_text())
+        values = st.sampled_from(("", "x", "CVE-2019-6340", "CVE-1", "RCE_TCP_N_L", "PE_X_Y",
+                                  "drupal_restful_web_service", "cpe:2.3:a:x:y:1:*:*:*:*:*:*:*",
+                                  "cpe:2.3:a:x", "cpe:2.3:q:x:y:1:*:*:*:*:*:*:*")) | JSON_VALUES
+        doc = data.draw(mutated_json(catalog, values))
+        try:
+            records_from_dict(doc)
+        except ChainplanError as exc:
+            if isinstance(exc, SchemaError):
+                assert exc.pointer is not None and resolves(doc, exc.pointer), exc
+            else:
+                assert isinstance(exc, DuplicateId), exc
 
     def test_cve_id_validation(self):
         with pytest.raises(SchemaError):

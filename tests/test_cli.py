@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainplan import cli, classifier, load_records, parse_pddl
+from chainplan.errors import ChainplanError
 
-from conftest import FIXTURES, MOTIVATING_CHAIN, build_task
+from conftest import FIXTURES, JSON_VALUES, MOTIVATING_CHAIN, build_task, mutated_json
 
 NETWORK = str(FIXTURES / "motivating_network.json")
 CATALOG = str(FIXTURES / "motivating_catalog.json")
@@ -137,6 +139,8 @@ class TestPlan:
         ({"command": "true", "plan_glob": "out/../../plan*"}, "external/plan_glob"),
         ({"command": "true", "plan_glob": "."}, "external/plan_glob"),
         ({"command": "true", "plan_glob": "**plan"}, "external/plan_glob"),
+        ({"command": "true", "timeout_s": 3e6}, "external/timeout_s"),
+        ({"command": "true", "timeout_s": 10 ** 400}, "external/timeout_s"),
     ])
     def test_bad_external_section_exits_1(self, capsys, tmp_path, external, key):
         config = tmp_path / "config.json"
@@ -271,6 +275,34 @@ class TestClassify:
         assert not (tmp_path / "x.json").exists()
 
 
+_CONFIG = {
+    "llm": {"endpoint": "http://localhost:1/v1", "model": "m", "parallelism": 2},
+    "external": {"command": "planner {domain} {problem} {plan_out}", "timeout_s": 30,
+                 "plan_glob": "plan*"},
+}
+_CONFIG_VALUES = st.sampled_from(("", "{", "{domain", "{0}", "{domain.x}", "'open", "/abs*",
+                                  "../plan*", "**plan", "plan\x00", ".", 0, -1, 3e6,
+                                  10 ** 400, True)) | JSON_VALUES
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_is_accepted_or_rejected(self, config_dir, data):
+        config = config_dir / "config.json"
+        config.write_text(json.dumps(data.draw(mutated_json(_CONFIG, _CONFIG_VALUES))))
+        for section in (cli._llm_config, cli._external_config):
+            try:
+                section(str(config))
+            except ChainplanError:
+                pass
+
+
 class TestSweepAndSensitivity:
     def test_sweep_counts(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--network", NETWORK,
@@ -399,6 +431,15 @@ class TestUsageAndInputErrors:
         assert (code, out) == (1, "")
         assert f"argument --k: must be an integer >= 1, not '{k}'" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallelism_below_one_exits_1(self, capsys, tmp_path, value):
+        code, out, err = self.usage_exit(capsys, "classify", "--catalog", CATALOG,
+                                         "--out", str(tmp_path / "x.json"), "--offline",
+                                         "--parallelism", value)
+        assert (code, out) == (1, "")
+        assert f"argument --parallelism: must be an integer >= 1, not '{value}'" in err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("command", ["plan", "sweep", "sensitivity"])
     @pytest.mark.parametrize("flag", ["--max-expansions", "--max-len"])
     @pytest.mark.parametrize("value", ["0", "-5"])
@@ -450,6 +491,34 @@ class TestUsageAndInputErrors:
                                  "--catalog", CATALOG, "--plan", str(plan))
         assert (code, out) == (1, "")
         assert err == f"error: line 2, column 5: byte 0xff in {plan} is not UTF-8\n"
+
+    def test_malformed_external_plan_names_its_file(self, capsys, tmp_path):
+        script = tmp_path / "planner.sh"
+        script.write_text("#!/bin/sh\necho '(a (b) c)' > \"$3\"\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"external": {
+            "command": f"{script} {{domain}} {{problem}} {{plan_out}}"}}))
+        code, out, err = run_cli(capsys, "plan", "--network", NETWORK,
+                                 "--catalog", CATALOG, "--planner", "external",
+                                 "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == "error: plan: line 1, column 1: malformed plan step\n"
+
+    @pytest.mark.parametrize("command", ["plan", "emit-pddl"])
+    def test_colliding_identifiers_exit_1(self, capsys, tmp_path, command):
+        # two vendors that differ only in case sanitize to one product identifier
+        data = json.loads(Path(NETWORK).read_text())
+        data["hosts"][1]["products"].append(
+            {"cpe": "cpe:2.3:a:Drupal:drupal:8.6.9:*:*:*:*:*:*:*"})
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, command, "--network", str(network),
+                                 "--catalog", CATALOG, "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == ("error: identifier 'a--drupal--drupal' produced by both "
+                       "'a:drupal:drupal' and 'a:Drupal:drupal'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_external_plan_exits_1(self, capsys, tmp_path):
         script = tmp_path / "planner.sh"

@@ -2,6 +2,7 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainplan import (
     ExploitMatrix,
@@ -13,7 +14,7 @@ from chainplan import (
 )
 from chainplan.errors import DanglingReference, SchemaError, UnknownHost
 
-from conftest import FIXTURES, fixture_pair
+from conftest import FIXTURES, JSON_VALUES, fixture_pair, mutated_json, resolves
 
 
 def _motivating_dict():
@@ -129,11 +130,55 @@ class TestLoadNetwork:
             network_from_dict(data)
         assert err.value.pointer == pointer
 
+    @pytest.mark.parametrize("edit, pointer", [
+        (lambda d: d["hosts"][2].update(subnets=[]), "/hosts/2/subnets"),
+        (lambda d: d["hosts"][2].update(subnets=["lan", "ghost"]), "/hosts/2/subnets/1"),
+        (lambda d: d["hosts"][1].update(name="9web"), "/hosts/1/name"),
+        (lambda d: d["hosts"][1].update(name="agent"), "/hosts/1/name"),
+        (lambda d: d["hosts"][2].update(name="web_server"), "/hosts/2/name"),
+        (lambda d: d["hosts"][2].update(name="lan"), "/hosts/2/name"),
+        (lambda d: d.update(subnets=["dmz", "lan", "dmz"]), "/subnets/2"),
+        (lambda d: d.update(subnets=["dmz", "lan", "bad name"]), "/subnets/2"),
+        (lambda d: d.update(hosts=[]), "/hosts"),
+        (lambda d: d["scenario"].update(goal_host="ghost"), "/scenario/goal_host"),
+        (lambda d: d["scenario"].update(attacker_host="ghost"), "/scenario/attacker_host"),
+        (lambda d: d["scenario"].update(goal_host="attacker_host"), "/scenario/goal_host"),
+        (lambda d: d.update(trusted_channels=[["web_server", "ghost"]]),
+         "/trusted_channels/0/1"),
+        (lambda d: d.update(trusted_channels=[["db_server", "db_server"]]),
+         "/trusted_channels/0"),
+        (lambda d: d["hosts"][2].update(tcp_listen=["a--missing--product"]),
+         "/hosts/2/tcp_listen/0"),
+    ])
+    def test_cross_reference_errors_carry_a_pointer(self, edit, pointer):
+        data = _motivating_dict()
+        edit(data)
+        with pytest.raises(SchemaError) as err:
+            network_from_dict(data)
+        assert err.value.pointer == pointer
+        assert str(err.value).startswith(f"{pointer}: ")
+
     def test_default_privileges(self, motivating_network):
         from chainplan import PrivilegeLevel
 
         assert motivating_network.scenario.attacker_privilege is PrivilegeLevel.ROOT
         assert motivating_network.scenario.goal_privilege is PrivilegeLevel.ROOT
+
+
+_NAMES = ("ghost", "agent", "ROOT", "9x", "bad name", "", "attacker_host", "web_server",
+          "db_server", "dmz", "lan", "a--drupal--drupal",
+          "cpe:2.3:a:drupal:drupal:8.6.9:*:*:*:*:*:*:*", "cpe:2.3:a:*:*:*:*:*:*:*:*:*:*")
+
+
+class TestLoadNetworkFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_network_is_accepted_or_located(self, data):
+        doc = data.draw(mutated_json(_motivating_dict(), st.sampled_from(_NAMES) | JSON_VALUES))
+        try:
+            network_from_dict(doc)
+        except SchemaError as exc:
+            assert exc.pointer is not None and resolves(doc, exc.pointer), exc
 
 
 class TestRelevance:

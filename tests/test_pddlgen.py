@@ -15,6 +15,7 @@ from chainplan.pddlgen import (
     Atom,
     CONNECT_ACTIONS,
     PlanStep,
+    _tokenize,
     emit_domain,
     emit_problem,
     parse_pddl,
@@ -35,6 +36,7 @@ from chainplan.planner import ground
 from chainplan.synth import purdue_fixture
 
 from conftest import MOTIVATING_CHAIN, build_task
+from oracles import tokenize
 
 PDDL_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_-]*")
 
@@ -367,6 +369,16 @@ class TestParser:
         ("(define (domain d) (:action))", ":action needs a name", 1, 21),
         ("(define (domain d) (:action a :parameters x :effect (p)))",
          "expected a list in action a", 1, 43),
+        ("(define (domain d)\n  (:types (a) - object))", "expected a symbol in :types", 2, 11),
+        ("(define (domain d)\n  (:action (a) :effect (p)))",
+         "expected a symbol in :action", 2, 12),
+        ("(define (domain d)\n  (:action a :effect ()))", "empty atom in effect", 2, 22),
+        ("(define (domain d)\n  (:action a :parameters () :effect))",
+         "missing value for :effect", 2, 29),
+        ("(define (domain d)\n  (:action a :parameters ()))", "action a has no effect", 2, 3),
+        ("; a comment\n  domain", "document must start with (define ...)", 2, 3),
+        ("(define\n  d)", "malformed (domain ...) or (problem ...) header", 2, 3),
+        ("(define (domain d)\n  :types)", "malformed section", 2, 3),
     ])
     def test_malformed_input_is_located(self, text, message, line, column):
         with pytest.raises(PddlSyntaxError) as err:
@@ -428,7 +440,8 @@ class TestParsePlan:
 _FUZZ_TOKENS = ("(", ")", " ", "\n", ";", "-", "?x", "and", "or", "not", "define",
                 "domain", "problem", ":action", ":parameters", ":precondition",
                 ":effect", ":predicates", ":types", ":constants", ":objects", ":init",
-                ":goal", ":requirements", ":strips", "(1)", "(0)", "; cost = 3")
+                ":goal", ":requirements", ":strips", "(1)", "(0)", "; cost = 3",
+                "\x0b", "\x0c", "\xa0", "\r", "\t", "x;", "; c\n")
 
 
 @st.composite
@@ -448,10 +461,12 @@ def _mutated(draw, text):
     return text
 
 
-def _assert_located(exc: ChainplanError):
-    # a syntax error's message leads with its position
+def _assert_located(exc: ChainplanError, lines: list[str]):
+    # a syntax error's message leads with its position, which is in ``lines``
     if isinstance(exc, PddlSyntaxError):
         assert str(exc).startswith(f"line {exc.line}, column {exc.column}: ")
+        assert 1 <= exc.line <= len(lines)
+        assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
 
 
 class TestParserFuzz:
@@ -465,15 +480,39 @@ class TestParserFuzz:
         try:
             ground(parse_pddl(texts["domain"]), parse_pddl(texts["problem"]))
         except ChainplanError as exc:
-            _assert_located(exc)
+            _assert_located(exc, texts[side].split("\n"))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_parse_plan_is_total(self, data):
-        text = "".join(f"({step}) (1)\n" for step in MOTIVATING_CHAIN) + "; cost = 5\n"
+        text = data.draw(_mutated(
+            "".join(f"({step}) (1)\n" for step in MOTIVATING_CHAIN) + "; cost = 5\n"))
         try:
-            plan = parse_plan(data.draw(_mutated(text)))
+            plan = parse_plan(text)
         except ChainplanError as exc:
-            _assert_located(exc)
+            # parse_plan numbers the lines str.splitlines gives
+            _assert_located(exc, text.splitlines())
         else:
             assert all(step.name and step.cost >= 1 for step in plan.steps)
+
+
+class TestTokenizer:
+    """The regex tokenizer gives the same tokens and positions as the
+    character-by-character reference scan."""
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "(a)", "a;b\nc", "(a;b)\n(c)", "a\rb", "a\r\nb", "\x0b(a\x0cb)\xa0c",
+        "x\t ;(\n  )", "(define (domain d) ; inline\n)", ";;\n;",
+    ])
+    def test_matches_reference_on_edge_cases(self, text):
+        assert [(t.text, t.line, t.column) for t in _tokenize(text)] == tokenize(text)
+
+    @pytest.mark.parametrize("side", ["domain", "problem"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_mutated_documents(self, motivating_task, side, data):
+        domain, problem, _ = motivating_task
+        text = to_pddl(domain if side == "domain" else problem)
+        if data.draw(st.booleans()):
+            text = data.draw(_mutated(text))
+        assert [(t.text, t.line, t.column) for t in _tokenize(text)] == tokenize(text)

@@ -731,21 +731,17 @@ def _write_script(path, body):
 
 
 @pytest.fixture
-def motivating_files(tmp_path, motivating_task):
-    domain, problem, task = motivating_task
-    domain_path = tmp_path / "in_domain.pddl"
-    problem_path = tmp_path / "in_problem.pddl"
-    domain_path.write_text(to_pddl(domain))
-    problem_path.write_text(to_pddl(problem))
-    return domain_path, problem_path, task
+def motivating_texts(motivating_task):
+    domain, problem, _ = motivating_task
+    return to_pddl(domain), to_pddl(problem)
 
 
 PLAN_TEXT = "\n".join(f"{step} (1)" for step in MOTIVATING_CHAIN) + "\n"
 
 
 class TestRunExternal:
-    def test_single_valid_plan(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_single_valid_plan(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         script = tmp_path / "planner.sh"
         _write_script(script, f"""\
             cat > "$3" <<'PLAN'
@@ -754,11 +750,31 @@ class TestRunExternal:
             """)
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
-        plans = run_external(domain_path, problem_path, config)
+        plans = run_external(domain_text, problem_text, config)
         assert [p.steps for p in plans] == [MOTIVATING_CHAIN]
 
-    def test_numbered_plan_files(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_documents_are_written_into_the_planners_directory(self, tmp_path,
+                                                                motivating_texts):
+        domain_text, problem_text = motivating_texts
+        script = tmp_path / "planner.sh"
+        _write_script(script, f"""\
+            here=$(pwd -P)
+            [ "$(cd "$(dirname "$1")" && pwd -P)" = "$here" ] || exit 5
+            [ "$(cd "$(dirname "$2")" && pwd -P)" = "$here" ] || exit 5
+            cp "$1" {tmp_path}/seen_domain.pddl
+            cp "$2" {tmp_path}/seen_problem.pddl
+            cat > "$3" <<'PLAN'
+{PLAN_TEXT}PLAN
+            """)
+        config = ExternalPlannerConfig(
+            command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
+        plans = run_external(domain_text, problem_text, config)
+        assert [p.steps for p in plans] == [MOTIVATING_CHAIN]
+        assert (tmp_path / "seen_domain.pddl").read_text() == domain_text
+        assert (tmp_path / "seen_problem.pddl").read_text() == problem_text
+
+    def test_numbered_plan_files(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         script = tmp_path / "planner.sh"
         _write_script(script, f"""\
             for i in 1 2 3; do
@@ -768,11 +784,11 @@ class TestRunExternal:
             """)
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
-        plans = run_external(domain_path, problem_path, config)
+        plans = run_external(domain_text, problem_text, config)
         assert len(plans) == 3
 
-    def test_directories_matching_the_glob_are_skipped(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_directories_matching_the_glob_are_skipped(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         script = tmp_path / "planner.sh"
         _write_script(script, f"""\
             mkdir "$3.d"
@@ -781,11 +797,11 @@ class TestRunExternal:
             """)
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
-        plans = run_external(domain_path, problem_path, config)
+        plans = run_external(domain_text, problem_text, config)
         assert [p.steps for p in plans] == [MOTIVATING_CHAIN]
 
-    def test_invalid_plan_reported(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_invalid_plan_reported(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         script = tmp_path / "planner.sh"
         _write_script(script, """\
             echo "ghost_action a b (1)" > "$3"
@@ -793,10 +809,10 @@ class TestRunExternal:
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
         with pytest.raises(InvalidExternalPlan):
-            run_external(domain_path, problem_path, config)
+            run_external(domain_text, problem_text, config)
 
-    def test_inapplicable_plan_reported(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_inapplicable_plan_reported(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         truncated = "\n".join(f"{s} (1)" for s in MOTIVATING_CHAIN[1:]) + "\n"
         script = tmp_path / "planner.sh"
         _write_script(script, f"""\
@@ -806,16 +822,16 @@ class TestRunExternal:
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
         with pytest.raises(InvalidExternalPlan):
-            run_external(domain_path, problem_path, config)
+            run_external(domain_text, problem_text, config)
 
-    def test_process_error(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_process_error(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         script = tmp_path / "planner.sh"
         _write_script(script, 'echo "boom" >&2\nexit 4\n')
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
         with pytest.raises(ProcessError):
-            run_external(domain_path, problem_path, config)
+            run_external(domain_text, problem_text, config)
 
     @pytest.mark.parametrize("command, message", [
         ("", "planner command is empty"),
@@ -825,30 +841,30 @@ class TestRunExternal:
         ("true 'open", "cannot build planner command"),
         ("true {domain.nope}", "cannot build planner command"),
     ])
-    def test_unbuildable_command(self, motivating_files, command, message):
-        domain_path, problem_path, _ = motivating_files
+    def test_unbuildable_command(self, motivating_texts, command, message):
+        domain_text, problem_text = motivating_texts
         with pytest.raises(ProcessError, match=re.escape(message)):
-            run_external(domain_path, problem_path, ExternalPlannerConfig(command))
+            run_external(domain_text, problem_text, ExternalPlannerConfig(command))
 
-    def test_unlaunchable_command(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_unlaunchable_command(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         script = tmp_path / "planner.sh"
         script.write_text("#!/bin/sh\n")  # not executable
         config = ExternalPlannerConfig(command=f"{script} {{domain}}", timeout_s=30)
         with pytest.raises(ProcessError, match="cannot launch external planner"):
-            run_external(domain_path, problem_path, config)
+            run_external(domain_text, problem_text, config)
 
-    def test_timeout(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_timeout(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         script = tmp_path / "planner.sh"
         _write_script(script, "sleep 5\n")
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=0.3)
         with pytest.raises(PlannerTimeout):
-            run_external(domain_path, problem_path, config)
+            run_external(domain_text, problem_text, config)
 
-    def test_case_insensitive_step_matching(self, tmp_path, motivating_files):
-        domain_path, problem_path, _ = motivating_files
+    def test_case_insensitive_step_matching(self, tmp_path, motivating_texts):
+        domain_text, problem_text = motivating_texts
         upper = PLAN_TEXT.replace("tcp_connect", "TCP_CONNECT")
         script = tmp_path / "planner.sh"
         _write_script(script, f"""\
@@ -857,7 +873,7 @@ class TestRunExternal:
             """)
         config = ExternalPlannerConfig(
             command=f"{script} {{domain}} {{problem}} {{plan_out}}", timeout_s=30)
-        plans = run_external(domain_path, problem_path, config)
+        plans = run_external(domain_text, problem_text, config)
         assert plans[0].steps == MOTIVATING_CHAIN
 
 
