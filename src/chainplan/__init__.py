@@ -50,7 +50,6 @@ from .netmodel import (
     Scenario,
     load_network,
     network_from_dict,
-    reachable_products,
     select_relevant_exploits,
 )
 from .pddlgen import (

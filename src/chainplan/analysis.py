@@ -185,7 +185,10 @@ def sweep_targets(net: NetworkSpec, matrix: ExploitMatrix, k: int,
     one search per host (on one shared compile) whose goal is a single
     clause, the host compromised at LOW, HIGH or ROOT, as an exploit's
     foothold clause is. Hosts with no chains are reported with a zero
-    count; results are keyed and ordered by host name. A count is exact
+    count; results are keyed and ordered by host name. A host's
+    ``mean_chain_length`` is the mean exploit count over the plans
+    returned, which are the first k in total-length order (connects
+    included), not the k with the fewest exploits. A count is exact
     when the search drains its heap or proves its plans complete (see
     ``find_top_k``); a search that runs out of budget logs a warning, and a
     larger budget may then find more. A host's ``duration_s`` times its

@@ -407,9 +407,9 @@ class ExploitMatrix:
 
     def __post_init__(self):
         index = {}
-        for record in self.records:
+        for i, record in enumerate(self.records):
             if record.id in index:
-                raise DuplicateId(f"duplicate record id {record.id!r}")
+                raise DuplicateId(f"duplicate record id {record.id!r}", f"/records/{i}")
             if record.exploit_class is None:
                 raise SchemaError(f"record {record.id!r} is unclassified")
             index[record.id] = record
@@ -514,7 +514,7 @@ def records_from_dict(data: dict) -> list[ExploitRecord]:
     for i, obj in enumerate(records_json):
         record = _record_from_json(obj, f"/records/{i}")
         if record.id in seen:
-            raise DuplicateId(f"duplicate record id {record.id!r} at /records/{i}")
+            raise DuplicateId(f"duplicate record id {record.id!r}", f"/records/{i}")
         seen.add(record.id)
         records.append(record)
     return records

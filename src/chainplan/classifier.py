@@ -7,14 +7,11 @@ testable offline; only ``HttpLlmEndpoint`` talks to the network.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
 import re
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -268,13 +265,6 @@ class LlmEndpoint(TypingProtocol):
     def complete(self, messages: list[dict]) -> str: ...
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Follow no redirect: a 3xx reply reaches the caller as an ``HTTPError``."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
 class HttpLlmEndpoint:
     """Chat-completions-style JSON-over-HTTP client (vendor-neutral).
 
@@ -282,6 +272,8 @@ class HttpLlmEndpoint:
     expects a single label. Built on ``urllib``: TLS verifies against the
     system CA store, and proxies come from ``HTTP(S)_PROXY``. No redirect is
     followed, so the key and the messages go to ``endpoint``'s host only.
+    The HTTP stack (``http.client``, ``ssl``) is imported by the first
+    request, so a process that calls no endpoint never loads it.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
@@ -292,6 +284,8 @@ class HttpLlmEndpoint:
         self.timeout_s = timeout_s
 
     def complete(self, messages: list[dict]) -> str:
+        import http.client
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -317,11 +311,20 @@ class HttpLlmEndpoint:
 
     def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
         """POST ``body``; the status and reply bytes, whatever the status."""
+        import urllib.error
+        import urllib.request
+
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            """Follow no redirect: a 3xx reply reaches the caller as an ``HTTPError``."""
+
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                return None
+
         request = urllib.request.Request(self.endpoint, data=body, headers=headers,
                                          method="POST")
         if request.type not in ("http", "https"):
             raise ValueError(f"unsupported URL scheme {request.type!r}")
-        opener = urllib.request.build_opener(_NoRedirect)
+        opener = urllib.request.build_opener(NoRedirect)
         try:
             with opener.open(request, timeout=self.timeout_s) as response:
                 return response.status, response.read()

@@ -19,10 +19,6 @@ class MalformedCpe(CatalogError):
     """A CPE 2.3 string has the wrong prefix or field count."""
 
 
-class DuplicateId(CatalogError):
-    """Two catalog records share an id."""
-
-
 class SchemaError(ChainplanError):
     """A JSON document violates the documented schema.
 
@@ -32,6 +28,10 @@ class SchemaError(ChainplanError):
     def __init__(self, message: str, pointer: str | None = None):
         super().__init__(message if pointer is None else f"{pointer}: {message}")
         self.pointer = pointer
+
+
+class DuplicateId(CatalogError, SchemaError):
+    """Two catalog records share an id; ``pointer`` names the later record."""
 
 
 # --- classifier ------------------------------------------------------------

@@ -349,19 +349,3 @@ def select_relevant_exploits(net: NetworkSpec, matrix: ExploitMatrix) -> Relevan
         discarded_count=len(matrix) - len(relevant),
     )
 
-
-def reachable_products(net: NetworkSpec, source: str) -> list[tuple[str, ProductInstance, Protocol]]:
-    """Listening services the ``source`` host can reach, as (host, product, protocol).
-
-    A host is reachable when it shares a subnet with source or a trusted
-    channel (source, host) exists; the source itself is excluded.
-    """
-    net.host(source)
-    out = []
-    for host in net.hosts:
-        if host.name == source or not net.can_connect(source, host.name):
-            continue
-        for protocol in Protocol:
-            for instance in host.listeners(protocol):
-                out.append((host.name, instance, protocol))
-    return out

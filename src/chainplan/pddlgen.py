@@ -4,6 +4,12 @@ Emits a problem file from a network description and a domain file from the
 relevant exploits, parses the same subset back (round-trip identity on
 generated documents), and parses external planner plan files.
 
+Relevance selection decides which installed products an exploit targets;
+the domain only encodes that decision. Every installed product has one
+``has_version`` fact over its split version and one ``has_<attr>`` fact per
+extra attribute that is not ANY, and an exploit action lists the facts of
+the products relevance matched.
+
 The supported subset is deliberately small: :strips :typing
 :disjunctive-preconditions, positive preconditions (conjunction of atoms and
 disjunctions of atoms), and add-only effects.
@@ -15,14 +21,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import (
+    ANY,
+    NA,
     ExploitMatrix,
     ExploitRecord,
     ExploitType,
     PrivilegeLevel,
     Protocol,
-    cpe_matches,
     product_token,
-    split_version,
 )
 from .errors import (
     CollisionError,
@@ -31,7 +37,7 @@ from .errors import (
     UnknownExploit,
     UnsupportedFeature,
 )
-from .netmodel import NetworkSpec, RelevanceResult
+from .netmodel import NetworkSpec, ProductInstance, RelevanceResult
 
 DOMAIN_NAME = "exploit_chains"
 
@@ -152,8 +158,10 @@ def sanitize_value(value: str) -> str:
     return token
 
 
-def _extra_token(attr: str, value: str) -> str:
-    return f"{_EXTRA_PREFIX[attr]}-{sanitize_value(value)}"
+def _extra_token(attr: str, value) -> str:
+    """``up-sp1`` for a concrete value; NA is ``up--na``, which
+    ``sanitize_value`` never outputs."""
+    return f"{_EXTRA_PREFIX[attr]}-{'-na' if value is NA else sanitize_value(value)}"
 
 
 class _IdentRegistry:
@@ -182,21 +190,24 @@ def sanitize_product(cpe, registry: _IdentRegistry | None = None) -> str:
 
 # --- problem emission ----------------------------------------------------------
 
-def _version_objects(values, prefix: str) -> list[tuple[str, str]]:
-    kind = {"ma": "major", "mi": "minor", "pa": "patch"}[prefix]
-    return [(f"{prefix}{v}", kind) for v in sorted(values)]
+_VERSION_PREFIX = {"major": "ma", "minor": "mi", "patch": "pa"}
 
 
-def _config_atoms(host: str, token: str, cpe, version) -> list[Atom]:
-    """has_version for a fully numeric triple (wildcard components have no
-    object to name), then one has_<attr> per concrete extra attribute."""
-    atoms = []
-    if version.is_concrete:
-        atoms.append(Atom("has_version", (host, token, f"ma{version.major}",
-                                          f"mi{version.minor}", f"pa{version.patch}")))
+def _version_object(kind: str, value: int | None) -> str:
+    """``ma8``; a wildcard component is ``ma-any``, which no integer names."""
+    return f"{_VERSION_PREFIX[kind]}{'-any' if value is None else value}"
+
+
+def _config_atoms(host: str, token: str, instance: ProductInstance) -> list[Atom]:
+    """has_version over the instance's split version, then one has_<attr>
+    per extra attribute that is concrete or NA (ANY has no fact)."""
+    major, minor, patch = instance.version.components()
+    atoms = [Atom("has_version", (host, token, _version_object("major", major),
+                                  _version_object("minor", minor),
+                                  _version_object("patch", patch)))]
     for attr in EXTRA_ATTRS:
-        value = getattr(cpe, attr)
-        if isinstance(value, str):
+        value = getattr(instance.cpe, attr)
+        if value is not ANY:
             atoms.append(Atom(f"has_{attr}", (host, token, _extra_token(attr, value))))
     return atoms
 
@@ -216,19 +227,17 @@ def emit_problem(net: NetworkSpec) -> PddlDocument:
         registry.claim(level.pddl_name, f"builtin:{level.name}")
 
     products: dict[str, str] = {}
-    majors, minors, patches = set(), set(), set()
+    versions: dict[str, set] = {kind: set() for kind in _VERSION_PREFIX}
     extras: dict[str, set] = {attr: set() for attr in EXTRA_ATTRS}
     for host in net.hosts:
         for instance in host.products:
             token = sanitize_product(instance.cpe, registry)
             products[token] = token
-            if instance.version.is_concrete:
-                majors.add(instance.version.major)
-                minors.add(instance.version.minor)
-                patches.add(instance.version.patch)
+            for kind, value in zip(_VERSION_PREFIX, instance.version.components()):
+                versions[kind].add(value)
             for attr in EXTRA_ATTRS:
                 value = getattr(instance.cpe, attr)
-                if isinstance(value, str):
+                if value is not ANY:
                     extras[attr].add(value)
 
     objects: list[tuple[str, str]] = [("agent", "agent")]
@@ -236,11 +245,13 @@ def emit_problem(net: NetworkSpec) -> PddlDocument:
     objects += [(s, "network") for s in net.subnets]
     objects += [(p.pddl_name, "privilege") for p in PrivilegeLevel]
     objects += [(token, "product") for token in sorted(products)]
-    objects += _version_objects(majors, "ma")
-    objects += _version_objects(minors, "mi")
-    objects += _version_objects(patches, "pa")
+    for kind, values in versions.items():
+        # integers in order, then the wildcard
+        objects += [(_version_object(kind, v), kind)
+                    for v in sorted(values, key=lambda v: (v is None, v or 0))]
     for attr in EXTRA_ATTRS:
-        for value in sorted(extras[attr]):
+        # NA first, then concrete values in order
+        for value in sorted(extras[attr], key=lambda v: "" if v is NA else v):
             token = registry.claim(_extra_token(attr, value), f"{attr}:{value}")
             objects.append((token, attr))
 
@@ -255,7 +266,7 @@ def emit_problem(net: NetworkSpec) -> PddlDocument:
         for instance in host.products:
             token = product_token(instance.cpe)
             init.append(Atom("has_product", (host.name, token)))
-            init.extend(_config_atoms(host.name, token, instance.cpe, instance.version))
+            init.extend(_config_atoms(host.name, token, instance))
             if instance in host.tcp_listen:
                 init.append(Atom("TCP_listen", (host.name, token)))
             if instance in host.udp_listen:
@@ -319,45 +330,32 @@ def _connect_schemas() -> list[ActionSchema]:
     return schemas
 
 
-def _config_clauses(record: ExploitRecord, matches, host_var: str, init_index: set):
-    """Per-product configuration clauses, pruned to facts the problem contains.
+def _config_clauses(matches, host_var: str):
+    """The configuration clauses of the installed products relevance matched.
 
-    Returns ``{(token, extras_signature): clauses}`` where each value is the
-    ordered clause list (has_product, optional version disjunction, extras).
-    Configurations that matched only through wildcards contribute no version
-    constraint; such an unconstrained alternative subsumes the others.
+    Matches group by product token and their non-version facts. Returns
+    ``{(token, extras_signature): clauses}``, where each value is the ordered
+    clause list: has_product, the disjunction of the group's has_version
+    facts, then the extras. A config that matches a product matches every
+    product of that token and version whose facts include its facts. So a
+    group leaves out each version that a group with a subset of its facts
+    already lists, and no product satisfies both of those groups' actions.
     """
-    grouped: dict[tuple[str, tuple], dict] = {}
+    grouped: dict[tuple[str, tuple], tuple[list[Atom], set]] = {}
     for _, instance in matches:
         token = product_token(instance.cpe)
-        for config in record.vulnerable_configs:
-            if not cpe_matches(config, instance.cpe):
-                continue
-            present = [atom for atom in _config_atoms(host_var, token, config,
-                                                      split_version(config.version))
-                       if (atom.name,) + atom.args[1:] in init_index]
-            versions = [atom for atom in present if atom.name == "has_version"]
-            extra_atoms = [atom for atom in present if atom.name != "has_version"]
-            signature = tuple(a.render() for a in extra_atoms)
-            key = (token, signature)
-            entry = grouped.setdefault(key, {
-                "token": token,
-                "extras": tuple(extra_atoms),
-                "versions": set(),
-                "unconstrained": False,
-            })
-            if versions:
-                entry["versions"].update(versions)
-            else:
-                entry["unconstrained"] = True
-
+        version, *extras = _config_atoms(host_var, token, instance)
+        key = (token, tuple(a.render() for a in extras))
+        grouped.setdefault(key, (extras, set()))[1].add(version)
     out = {}
-    for key, entry in sorted(grouped.items()):
-        clauses: list[Clause] = [(Atom("has_product", (host_var, entry["token"])),)]
-        if not entry["unconstrained"] and entry["versions"]:
-            clauses.append(tuple(sorted(entry["versions"], key=lambda a: a.args)))
-        clauses.extend((atom,) for atom in entry["extras"])
-        out[key] = clauses
+    for (token, signature), (extras, versions) in sorted(grouped.items()):
+        versions = versions.difference(*(
+            other for (other_token, other_signature), (_, other) in grouped.items()
+            if other_token == token and set(other_signature) < set(signature)))
+        if versions:
+            out[token, signature] = [(Atom("has_product", (host_var, token)),),
+                                     tuple(sorted(versions, key=lambda a: a.args)),
+                                     *((atom,) for atom in extras)]
     return out
 
 
@@ -404,19 +402,14 @@ def emit_domain(relevant: RelevanceResult, matrix: ExploitMatrix,
 
     PE exploits become single-host actions whose privilege disjunction spans
     [required, acquired); RCE exploits become local/remote actions gated on a
-    protocol-specific connection to the matched product. Configuration
-    preconditions are pruned to facts present in the paired problem.
-    An exploit matching several products (or incompatible extra-attribute
-    sets) yields one action per group, suffixed deterministically.
+    protocol-specific connection to the matched product. The configuration
+    preconditions are the problem facts of the products relevance matched,
+    so the action applies to exactly those (``net`` itself is not read).
+    An exploit matching several products (or several extra-attribute sets)
+    yields one action per group, suffixed deterministically.
     """
     if not relevant.relevant:
         raise EmptyDomain("no relevant exploit for this network", relevant)
-
-    # the problem's configuration facts, with the host dropped
-    init_index = {(fact.name,) + fact.args[1:]
-                  for host in net.hosts for instance in host.products
-                  for fact in _config_atoms(host.name, product_token(instance.cpe),
-                                            instance.cpe, instance.version)}
 
     registry = _IdentRegistry()
     actions = _connect_schemas()
@@ -427,9 +420,7 @@ def emit_domain(relevant: RelevanceResult, matrix: ExploitMatrix,
         record = matrix.record(entry.exploit_id)
         host_var = "?host" if record.exploit_class.exploit_type is ExploitType.PE \
             else "?remote_host"
-        groups = _config_clauses(record, entry.matches, host_var, init_index)
-        if not groups:
-            continue
+        groups = _config_clauses(entry.matches, host_var)
         base = sanitize_action_name(record.id)
         multi = len(groups) > 1
         seen_names: dict[str, int] = {}
@@ -798,10 +789,11 @@ _STEP_COST_RE = re.compile(r"\((\d+)\)\s*$")
 
 def parse_plan(text: str) -> PlanFile:
     """Parse a plan file: one action per line, bare or parenthesized, with an
-    optional trailing ``(N)`` step cost and ``; cost = N`` comment lines."""
+    optional trailing ``(N)`` step cost and ``; cost = N`` comment lines.
+    Lines end at ``\n`` only, as in ``parse_pddl``."""
     steps = []
     total_cost = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

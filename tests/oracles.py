@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 These deliberately re-derive results through different algorithms than the
-library: set-saturation feasibility instead of plan search, exhaustive
+library: set-saturation feasibility instead of plan search, the network
+model interpreted directly instead of through PDDL, exhaustive
 cross-product grounding instead of join-based grounding, a regex pull
 instead of the CVSS metric parser, and a character-by-character scan instead
 of the PDDL tokenizer's regex.
@@ -10,6 +11,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from typing import NamedTuple
+
+from chainplan import ExploitType, PrivilegeLevel, Protocol, cpe_matches
 
 
 # --- delete-free feasibility by saturation -----------------------------------
@@ -39,29 +43,36 @@ def feasible(task, exploit_subset, connects):
     return task.goal <= saturate(task.init, allowed)
 
 
-def brute_force_minimal_sets(task):
-    """All minimal feasible exploit-action sets, as frozensets of action ids.
+def minimal_feasible_sets(items, is_feasible):
+    """All minimal subsets of ``items`` (each with an ``id``) that
+    ``is_feasible`` accepts, as frozensets of ids, by trying every subset in
+    order of size.
 
-    The task is delete-free, so feasibility is monotone in the set: nothing
-    is feasible when all exploits together are not, and a feasible empty set
-    is the one minimal set.
+    Feasibility must be monotone in the set, as it is in a delete-free task:
+    nothing is feasible when all items together are not, and a feasible
+    empty set is the one minimal set.
     """
+    if not is_feasible(items):
+        return set()
+    if is_feasible(()):
+        return {frozenset()}
+    minimal: list[frozenset] = []
+    for size in range(1, len(items) + 1):
+        for combo in itertools.combinations(items, size):
+            ids = frozenset(item.id for item in combo)
+            if any(m <= ids for m in minimal):
+                continue
+            if is_feasible(combo):
+                minimal.append(ids)
+    return set(minimal)
+
+
+def brute_force_minimal_sets(task):
+    """All minimal feasible exploit-action sets, as frozensets of action ids."""
     exploits = sorted((a for a in task.actions if a.source[0] == "exploit"),
                       key=lambda a: a.id)
     connects = [a for a in task.actions if a.source[0] == "connect"]
-    if not feasible(task, exploits, connects):
-        return set()
-    if feasible(task, (), connects):
-        return {frozenset()}
-    minimal: list[frozenset] = []
-    for size in range(1, len(exploits) + 1):
-        for combo in itertools.combinations(exploits, size):
-            ids = frozenset(a.id for a in combo)
-            if any(m <= ids for m in minimal):
-                continue
-            if feasible(task, combo, connects):
-                minimal.append(ids)
-    return set(minimal)
+    return minimal_feasible_sets(exploits, lambda combo: feasible(task, combo, connects))
 
 
 def minimal_members(family):
@@ -74,6 +85,93 @@ def brute_force_any_of(task, atoms):
     members of the union of each atom's ``brute_force_minimal_sets``."""
     return minimal_members(set().union(
         *(brute_force_minimal_sets(task.with_goal((atom,))) for atom in atoms)))
+
+
+# --- the network model, interpreted without PDDL ------------------------------
+
+def reachable_products(net, source):
+    """Listening services the ``source`` host can reach, as (host, product, protocol).
+
+    A host is reachable when it shares a subnet with source or a trusted
+    channel (source, host) exists; the source itself is excluded.
+    """
+    net.host(source)
+    out = []
+    for host in net.hosts:
+        if host.name == source or not net.can_connect(source, host.name):
+            continue
+        for protocol in Protocol:
+            for instance in host.listeners(protocol):
+                out.append((host.name, instance, protocol))
+    return out
+
+
+class NetworkStep(NamedTuple):
+    """One exploit step of the network model. ``id`` is (record id, from
+    host, to host); a state is a set of (host, privilege) pairs, each
+    precondition clause a set of pairs of which the state must hold one."""
+
+    id: tuple[str, str, str]
+    precondition: tuple[frozenset, ...]
+    effects: tuple[tuple[str, PrivilegeLevel], ...]
+
+
+def _held(host, levels) -> frozenset:
+    return frozenset((host, level) for level in levels)
+
+
+def network_steps(net, matrix) -> list[NetworkStep]:
+    """Every exploit step the network model allows, sorted by id.
+
+    A PE record applies on a host that installs a product some vulnerable
+    config ``cpe_matches``, held at a level in [required, acquired). An RCE
+    record runs from a source held at max(required, LOW) or above against a
+    target the source can reach that listens, on the record's protocol, with
+    a matched product; when required >= LOW the target must already be held
+    at required or above. Either grants the acquired level on the target.
+    """
+    steps = set()
+    for record in matrix:
+        cls = record.exploit_class
+
+        def vulnerable(instance):
+            return any(cpe_matches(config, instance.cpe)
+                       for config in record.vulnerable_configs)
+
+        if cls.exploit_type is ExploitType.PE:
+            span = [p for p in PrivilegeLevel if cls.required <= p < cls.acquired]
+            for host in net.hosts:
+                if any(vulnerable(instance) for instance in host.products):
+                    steps.add(NetworkStep((record.id, host.name, host.name),
+                                          (_held(host.name, span),),
+                                          ((host.name, cls.acquired),)))
+            continue
+        floor = max(cls.required, PrivilegeLevel.LOW)
+        for source in net.host_names():
+            for target, instance, protocol in reachable_products(net, source):
+                if protocol is not cls.protocol or not vulnerable(instance):
+                    continue
+                clauses = [_held(source, [p for p in PrivilegeLevel if p >= floor])]
+                if cls.required >= PrivilegeLevel.LOW:
+                    clauses.append(_held(target, [p for p in PrivilegeLevel
+                                                  if p >= cls.required]))
+                steps.add(NetworkStep((record.id, source, target), tuple(clauses),
+                                      ((target, cls.acquired),)))
+    return sorted(steps)
+
+
+def network_minimal_sets(net, matrix):
+    """All minimal sets of (record id, from host, to host) steps that take
+    the attacker from its scenario privilege to the goal host held at the
+    goal privilege. Steps that never fire with every step allowed cannot be
+    in a minimal set, so the brute force runs over the others."""
+    scenario = net.scenario
+    init = {(scenario.attacker_host, scenario.attacker_privilege)}
+    goal = (scenario.goal_host, scenario.goal_privilege)
+    steps = network_steps(net, matrix)
+    final = saturate(init, steps)
+    fired = [s for s in steps if all(clause & final for clause in s.precondition)]
+    return minimal_feasible_sets(fired, lambda combo: goal in saturate(init, combo))
 
 
 # --- exhaustive grounding ------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import statistics
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chainplan import (
     ExploitMatrix,
@@ -20,9 +21,11 @@ from chainplan.analysis import (
 from chainplan.pddlgen import parse_pddl, to_pddl
 from chainplan.planner import Plan, ground
 from chainplan.errors import UnknownExploit
+from chainplan.synth import random_fixture
 
 from conftest import FIXTURES, MOTIVATING_CHAIN, build_task, fixture_pair
-from oracles import brute_force_minimal_sets, minimal_members
+from oracles import brute_force_minimal_sets, minimal_members, network_minimal_sets, \
+    network_steps
 
 
 def _matrix_with_distractor():
@@ -330,3 +333,84 @@ class TestSensitivity:
             checked += 1
         assert checked == 25
 
+
+# --- the network model against the planner ------------------------------------
+
+# version strings split to concrete, partial and wildcard triples: "2" is
+# 2.0.0, "2.x" is (2, *, 0), "2.1.0a" is (2, 1, *), and "*" and "-" are all
+# wildcards
+_VERSIONS = ("1.0.0", "2.0.0", "2.1.0", "2", "2.1", "2.x", "x.1.0", "2.1.0a", "*", "-")
+_EXTRAS = ("*", "-", "sp1", "sp2")
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A small ``random_fixture`` pair, as its network and catalog documents,
+    whose installed products and vulnerable configs may get another version,
+    update or edition, with a drawn goal privilege."""
+    net_dict, cat_dict = random_fixture(draw(st.integers(0, 10 ** 6)), max_hosts=4)
+
+    def mutate(uri):
+        fields = uri.split(":")
+        fields[5] = draw(st.just(fields[5]) | st.sampled_from(_VERSIONS))
+        for i in (6, 7):  # update, edition
+            fields[i] = draw(st.just(fields[i]) | st.sampled_from(_EXTRAS))
+        return ":".join(fields)
+
+    for host in net_dict["hosts"]:
+        for product in host["products"]:
+            product["cpe"] = mutate(product["cpe"])
+    for record in cat_dict["records"]:
+        record["vulnerable_configs"] = [mutate(uri) for uri in record["vulnerable_configs"]]
+    net_dict["scenario"]["goal_privilege"] = draw(st.sampled_from(("LOW", "HIGH", "ROOT")))
+    return net_dict, cat_dict
+
+
+def _chain_steps(net, matrix):
+    """Every chain ``find_chains`` returns, as its set of (record id, from
+    host, to host) exploit steps."""
+    search = find_chains(net, matrix, k=10 ** 6)
+    return {frozenset((step.exploit_id, step.from_host, step.to_host)
+                      for step in to_chain_report(plan, search.task, matrix).steps
+                      if step.kind != "connect")
+            for plan in search.plans}
+
+
+def _web2_pair(installed, config):
+    """The motivating network plus a dmz host ``web2`` whose drupal listens on
+    TCP, with goal web2 at LOW; the drupal exploit's config is ``config``."""
+    net_dict = json.loads((FIXTURES / "motivating_network.json").read_text())
+    net_dict["hosts"].append({"name": "web2", "subnets": ["dmz"], "products": [
+        {"cpe": f"cpe:2.3:a:drupal:drupal:{installed}:*:*:*:*:*:*:*", "tcp_listen": True}]})
+    net_dict["scenario"].update(goal_host="web2", goal_privilege="LOW")
+    cat_dict = json.loads((FIXTURES / "motivating_catalog.json").read_text())
+    cat_dict["records"][0]["vulnerable_configs"] = [
+        f"cpe:2.3:a:drupal:drupal:{config}:*:*:*:*:*:*:*"]
+    return network_from_dict(net_dict), ExploitMatrix(tuple(records_from_dict(cat_dict)))
+
+
+class TestNetworkOracle:
+    @pytest.mark.parametrize("installed,config,expected", [
+        # config 8.6.9a splits to (8, 6, *): it matches web_server's 8.6.9,
+        # never web2's 8.7.0
+        ("8.7.0", "8.6.9a", set()),
+        # web2's 8.6.9a is (8, 6, *), which config 8.6.9 matches: web2 falls
+        # from the attacker's host, or from web_server once that falls
+        ("8.6.9a", "8.6.9",
+         {frozenset({("drupal_restful_web_service", "attacker_host", "web2")}),
+          frozenset({("drupal_restful_web_service", "attacker_host", "web_server"),
+                     ("drupal_restful_web_service", "web_server", "web2")})}),
+    ])
+    def test_partial_versions(self, installed, config, expected):
+        net, matrix = _web2_pair(installed, config)
+        assert network_minimal_sets(net, matrix) == expected
+        assert _chain_steps(net, matrix) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(docs=mutated_fixtures())
+    def test_mutated_random_fixtures(self, docs):
+        net = network_from_dict(docs[0])
+        matrix = ExploitMatrix(tuple(records_from_dict(docs[1])))
+        # the brute force tries every subset of the steps
+        assume(len(network_steps(net, matrix)) <= 12)
+        assert _chain_steps(net, matrix) == network_minimal_sets(net, matrix)

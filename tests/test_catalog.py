@@ -249,8 +249,12 @@ class TestRecordsAndCatalog:
                   "class": "PE_L_R"}
         path = tmp_path / "dup.json"
         path.write_text(json.dumps({"records": [record, record]}))
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId) as err:
             load_records(path)
+        assert err.value.pointer == "/records/1"
+        with pytest.raises(DuplicateId) as err:
+            ExploitMatrix(tuple(records_from_dict({"records": [record]})) * 2)
+        assert err.value.pointer == "/records/1"
 
     def test_unclassified_rejected_by_load_catalog(self, tmp_path):
         record = {"id": "x", "name": "x", "source": "other", "description": "d"}
@@ -295,10 +299,14 @@ class TestRecordsAndCatalog:
         try:
             records_from_dict(doc)
         except ChainplanError as exc:
-            if isinstance(exc, SchemaError):
-                assert exc.pointer is not None and resolves(doc, exc.pointer), exc
-            else:
-                assert isinstance(exc, DuplicateId), exc
+            # every rejection is a SchemaError (DuplicateId is one) with a pointer
+            assert isinstance(exc, SchemaError), exc
+            assert exc.pointer is not None and resolves(doc, exc.pointer), exc
+            if isinstance(exc, DuplicateId):
+                # the pointer names the record that repeats an earlier id
+                index = int(exc.pointer.removeprefix("/records/"))
+                ids = [record["id"] for record in doc["records"][:index + 1]]
+                assert ids[-1] in ids[:-1], exc
 
     def test_cve_id_validation(self):
         with pytest.raises(SchemaError):

@@ -8,13 +8,13 @@ from chainplan import (
     ExploitMatrix,
     Protocol,
     network_from_dict,
-    reachable_products,
     records_from_dict,
     select_relevant_exploits,
 )
 from chainplan.errors import DanglingReference, SchemaError, UnknownHost
 
 from conftest import FIXTURES, JSON_VALUES, fixture_pair, mutated_json, resolves
+from oracles import reachable_products
 
 
 def _motivating_dict():
@@ -253,6 +253,8 @@ class TestRelevance:
 
 
 class TestReachability:
+    """The network oracle's view of which listeners a host can reach."""
+
     def test_from_attacker(self, motivating_network):
         out = reachable_products(motivating_network, "attacker_host")
         assert [(h, p.token, proto) for h, p, proto in out] == [

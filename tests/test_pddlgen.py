@@ -111,19 +111,29 @@ class TestEmitProblem:
         problem = emit_problem(network_from_dict(net_dict))
         assert Atom("trusted_channel", ("web_server2", "data1")) in problem.init
 
-    def test_wildcard_versions_skip_has_version(self):
+    def test_wildcard_versions_get_reserved_objects(self):
         net = network_from_dict({
             "subnets": ["z"],
             "hosts": [
                 {"name": "a0", "subnets": ["z"], "products": []},
                 {"name": "h1", "subnets": ["z"], "products": [
-                    {"cpe": "cpe:2.3:o:microsoft:windows:*:*:*:*:*:*:*:*"}]},
+                    {"cpe": "cpe:2.3:o:microsoft:windows:*:*:*:*:*:*:*:*"},
+                    {"cpe": "cpe:2.3:a:v:p:1.0.0a:-:*:*:*:*:*:*"}]},
             ],
             "scenario": {"attacker_host": "a0", "goal_host": "h1"},
         })
         problem = emit_problem(net)
-        assert not [a for a in problem.init if a.name == "has_version"]
+        # one has_version per product; a wildcard component and an NA extra
+        # name objects that no integer or concrete value produces
+        assert [a for a in problem.init if a.name == "has_version"] == [
+            Atom("has_version", ("h1", "o--microsoft--windows", "ma-any", "mi-any", "pa-any")),
+            Atom("has_version", ("h1", "a--v--p", "ma1", "mi0", "pa-any")),
+        ]
+        assert Atom("has_update", ("h1", "a--v--p", "up--na")) in problem.init
         assert Atom("has_product", ("h1", "o--microsoft--windows")) in problem.init
+        objects = dict(problem.objects)
+        assert [objects[name] for name in ("ma-any", "mi-any", "pa-any", "up--na")] == [
+            "major", "minor", "patch", "update"]
 
     def test_extra_attributes_emitted(self):
         net = network_from_dict({
@@ -207,7 +217,7 @@ class TestEmitDomain:
             Atom("is_compromised", ("?remote_host", "?agent", "ROOT_PRIVILEGES")),
         )
 
-    def test_wildcard_version_config_prunes_clause(self, motivating_network):
+    def test_wildcard_version_config_lists_matched_versions(self, motivating_network):
         matrix = ExploitMatrix(tuple(records_from_dict({"records": [{
             "id": "kernel_any_version", "name": "x", "source": "other",
             "description": "d", "cves": [], "cvss_vectors": [],
@@ -217,10 +227,14 @@ class TestEmitDomain:
         relevance = select_relevant_exploits(motivating_network, matrix)
         domain = emit_domain(relevance, matrix, motivating_network)
         action = {a.name: a for a in domain.actions}["kernel_any_version"]
-        assert not [c for c in action.precondition for a in c
-                    if a.name == "has_version"]
+        # the version clause is the matched kernel's fact, not the config's
+        assert [c for c in action.precondition if c[0].name == "has_version"] == [
+            (Atom("has_version", ("?host", "o--linux--linux_kernel", "ma4", "mi8", "pa0")),)]
         assert not [c for c in action.precondition for a in c
                     if a.name == "has_update"]
+        task = ground(domain, emit_problem(motivating_network))
+        assert [a.id for a in task.actions if a.name == "kernel_any_version"] == [
+            "kernel_any_version db_server agent"]
 
     def test_version_alternatives_become_disjunction(self):
         net = network_from_dict({
@@ -277,6 +291,31 @@ class TestEmitDomain:
         assert [a.name for a in exploits] == ["dual__a--v--alpha", "dual__a--v--beta"]
         for schema in exploits:
             assert resolve_exploit_action(schema.record_id, matrix).id == "dual"
+
+    def test_product_with_more_facts_joins_the_smaller_group(self):
+        # the config matches both 1.0.0 products; h2's also has update sp1,
+        # so the action without an update clause covers it, and a second
+        # action would only report h2's chains twice
+        net = network_from_dict({
+            "subnets": ["z"],
+            "hosts": [
+                {"name": "a0", "subnets": ["z"], "products": []},
+                {"name": "h1", "subnets": ["z"], "products": [
+                    {"cpe": "cpe:2.3:a:v:p:1.0.0:*:*:*:*:*:*:*", "tcp_listen": True}]},
+                {"name": "h2", "subnets": ["z"], "products": [
+                    {"cpe": "cpe:2.3:a:v:p:1.0.0:sp1:*:*:*:*:*:*", "tcp_listen": True}]},
+            ],
+            "scenario": {"attacker_host": "a0", "goal_host": "h2"},
+        })
+        matrix = ExploitMatrix(tuple(records_from_dict({"records": [{
+            "id": "p_rce", "name": "x", "source": "other", "description": "d",
+            "vulnerable_configs": ["cpe:2.3:a:v:p:1.0.0:*:*:*:*:*:*:*"],
+            "class": "RCE_TCP_N_L",
+        }]})))
+        domain = emit_domain(select_relevant_exploits(net, matrix), matrix, net)
+        assert [a.name for a in domain.actions if a.name not in CONNECT_ACTIONS] == ["p_rce"]
+        task = ground(domain, emit_problem(net))
+        assert {a.args[1] for a in task.exploit_actions} == {"h1", "h2"}
 
     def test_empty_domain(self, motivating_network, motivating_matrix):
         from chainplan.netmodel import RelevanceResult
@@ -434,6 +473,14 @@ class TestParsePlan:
         with pytest.raises(PddlSyntaxError):
             parse_plan("(a (b) c)\n")
 
+    def test_lines_end_at_newline_only(self):
+        # a form feed separates symbols within a line, as in parse_pddl
+        with pytest.raises(PddlSyntaxError) as err:
+            parse_plan("a x\x0cb y (0)\n")
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert parse_plan("a x\x0cb (1)\r\nc y (1)\r\n").steps == (
+            PlanStep("a", ("x", "b")), PlanStep("c", ("y",)))
+
 
 # --- fuzzing: mutated documents are accepted or rejected with a ChainplanError ---
 
@@ -490,8 +537,8 @@ class TestParserFuzz:
         try:
             plan = parse_plan(text)
         except ChainplanError as exc:
-            # parse_plan numbers the lines str.splitlines gives
-            _assert_located(exc, text.splitlines())
+            # parse_plan, like parse_pddl, ends lines at \n only
+            _assert_located(exc, text.split("\n"))
         else:
             assert all(step.name and step.cost >= 1 for step in plan.steps)
 

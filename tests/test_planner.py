@@ -124,14 +124,19 @@ class TestGround:
         matrix = ExploitMatrix(tuple(records_from_dict({"records": [{
             "id": "couch_other_version", "name": "x", "source": "other",
             "description": "d", "cves": [], "cvss_vectors": [],
-            # matches installed couchdb only through the wildcard minor
-            "vulnerable_configs": ["cpe:2.3:a:apache:couchdb:2:*:*:*:*:*:*:*"],
+            # 2.x splits to (2, *, 0): it matches installed couchdb 2.0.0
+            # only through the wildcard minor
+            "vulnerable_configs": ["cpe:2.3:a:apache:couchdb:2.x:*:*:*:*:*:*:*"],
             "class": "RCE_TCP_N_H",
         }]})))
         domain, problem, task = build_task(motivating_network, matrix)
-        # has_version pruned from the schema (config 2.* vs installed 2.0.0),
-        # so the instantiation survives on the has_product static alone
-        assert any(a.name == "couch_other_version" for a in task.actions)
+        # the schema's version clause is installed couchdb's 2.0.0, which the
+        # static filter keeps on db_server alone
+        (schema,) = [a for a in domain.actions if a.name == "couch_other_version"]
+        assert (Atom("has_version", ("?remote_host", "a--apache--couchdb", "ma2", "mi0",
+                                     "pa0")),) in schema.precondition
+        assert {a.args[1] for a in task.actions if a.name == "couch_other_version"} == {
+            "db_server"}
 
     def test_no_self_connect(self, motivating_task):
         _, _, task = motivating_task
