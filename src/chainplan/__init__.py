@@ -90,6 +90,6 @@ from .analysis import (
     to_chain_report,
     transform_matrix,
 )
-from .synth import purdue_fixture, random_fixture
+from .synth import dense_fixture, purdue_fixture, random_fixture
 
 __version__ = "0.1.0"

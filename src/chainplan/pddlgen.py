@@ -247,7 +247,8 @@ def emit_problem(net: NetworkSpec) -> PddlDocument:
     objects += [(token, "product") for token in sorted(products)]
     for kind, values in versions.items():
         # integers in order, then the wildcard
-        objects += [(_version_object(kind, v), kind)
+        objects += [(registry.claim(_version_object(kind, v),
+                                    f"{kind}:{'*' if v is None else v}"), kind)
                     for v in sorted(values, key=lambda v: (v is None, v or 0))]
     for attr in EXTRA_ATTRS:
         # NA first, then concrete values in order

@@ -4,8 +4,10 @@
 configurable host count via replication) together with a catalog large
 enough to stress grounding and enumeration. ``random_fixture`` builds small
 randomized network/catalog pairs for oracle-equivalence and property suites.
+``dense_fixture`` builds a network where every host is exploitable, so the
+number of short exploit sets, not the catalog, sets the search effort.
 
-Both return plain dicts in the documented network/catalog JSON shapes, so
+All three return plain dicts in the documented network/catalog JSON shapes, so
 they can be fed to ``network_from_dict``/``records_from_dict`` or dumped to
 files.
 """
@@ -249,6 +251,61 @@ def purdue_fixture(hosts: int = 200, seed: int = 7, min_exploits: int = 86) -> t
         })
         index += 1
 
+    return network, {"records": records}
+
+
+# --- dense network ----------------------------------------------------------------
+
+_DENSE_LISTENER = "cpe:2.3:a:apache:log4j:2.14.0:*:*:*:*:*:*:*"
+_DENSE_KERNEL = "cpe:2.3:o:linux:linux_kernel:4.8.0:*:*:*:*:*:*:*"
+
+
+def dense_fixture(hosts: int) -> tuple[dict, dict]:
+    """Two-zone network where every host runs one vulnerable TCP listener
+    and one vulnerable kernel.
+
+    The attacker sits in z0. The first half of the ``hosts`` are in z0 and
+    z1, the rest only in z1, and the goal is the last host at ROOT. The
+    catalog has two records, a remote exploit of the listener (LOW) and a
+    local escalation of the kernel (LOW -> ROOT), so every host is a pivot
+    and the exploit sets shorter than the k-th plan grow with ``hosts``.
+    """
+    if hosts < 1:
+        raise ValueError("hosts must be >= 1")
+    products = [{"cpe": _DENSE_LISTENER, "tcp_listen": True}, {"cpe": _DENSE_KERNEL}]
+    network = {
+        "name": f"dense_{hosts}",
+        "subnets": ["z0", "z1"],
+        "hosts": [{"name": "attacker", "subnets": ["z0"], "products": []}] + [
+            {"name": f"h{i}", "subnets": ["z0", "z1"] if i <= hosts // 2 else ["z1"],
+             "products": products}
+            for i in range(1, hosts + 1)
+        ],
+        "trusted_channels": [],
+        "scenario": {
+            "attacker_host": "attacker",
+            "goal_host": f"h{hosts}",
+            "goal_privilege": "ROOT",
+        },
+    }
+    records = [
+        {
+            "id": rec_id,
+            "name": rec_name,
+            "source": "synthetic",
+            "description": f"{rec_name}.",
+            "cves": [],
+            "cvss_vectors": [],
+            "vulnerable_configs": [config],
+            "class": rec_class,
+        }
+        for rec_id, rec_name, rec_class, config in (
+            ("apache_log4j_jndi_ldap_rce", "Apache Log4j JNDI LDAP remote code execution",
+             "RCE_TCP_N_L", _DENSE_LISTENER),
+            ("linux_kernel_local_pe", "Linux kernel local privilege escalation",
+             "PE_L_R", _DENSE_KERNEL),
+        )
+    ]
     return network, {"records": records}
 
 

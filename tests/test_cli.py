@@ -520,6 +520,19 @@ class TestUsageAndInputErrors:
                        "'a:drupal:drupal' and 'a:Drupal:drupal'\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["plan", "emit-pddl"])
+    def test_host_named_like_a_version_object_exits_1(self, capsys, tmp_path, command):
+        # drupal 8.6.9 declares the major version object ``ma8``
+        data = json.loads(Path(NETWORK).read_text())
+        data["hosts"].append({"name": "ma8", "subnets": ["lan"], "products": []})
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, command, "--network", str(network),
+                                 "--catalog", CATALOG, "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == "error: identifier 'ma8' produced by both 'network:ma8' and 'major:8'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_external_plan_exits_1(self, capsys, tmp_path):
         script = tmp_path / "planner.sh"
         script.write_text("#!/bin/sh\nprintf '\\377\\376{bad' > \"$3\"\n")

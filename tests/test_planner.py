@@ -5,6 +5,7 @@ import random
 import re
 import stat
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,7 +46,7 @@ from chainplan.planner import (
     match_plan,
     run_external,
 )
-from chainplan.synth import purdue_fixture
+from chainplan.synth import dense_fixture, purdue_fixture
 from chainplan.errors import (
     ArityMismatch,
     InvalidExternalPlan,
@@ -468,13 +469,13 @@ class TestCompletenessCertificate:
         assert checked > 20
 
     def test_a_stalled_search_stops_once_proved(self, caplog):
-        # the 8th and last plan comes at expansion 42; the heap is not empty
+        # the 8th and last plan comes at expansion 26; the heap is not empty
         _, _, task = build_task(*fixture_pair(59))
         task = task.with_goal((compromised_atom("h2", PrivilegeLevel.HIGH).render(),))
         with caplog.at_level("DEBUG", logger="chainplan.planner"):
             plans = find_top_k(task, 10 ** 6)
         assert [r.getMessage() for r in caplog.records] == [
-            "proved complete after 84 expansions with 8 plan(s)"]
+            "proved complete after 52 expansions with 8 plan(s)"]
         assert {exploit_key(task, p) for p in plans} == brute_force_minimal_sets(task)
 
     def test_a_budget_stop_is_exact_once_proved(self, caplog):
@@ -567,6 +568,73 @@ class TestSuccessorTable:
     def test_a_gated_connect_is_inserted(self):
         assert find_top_k(self._gated_connect_task(), 5) == [Plan(steps=(
             "plant h0 agent", "tcp_connect z0 h0 h1 p agent", "rce h0 h1 agent"))]
+
+
+class TestDistanceBound:
+    """The search keys its heap on length + h, where h is the least ``dist``
+    over a delta's bits and the root. The plans and their order are those
+    of a uniform-cost search only if h is consistent: a step never lowers it
+    by more than the steps it appends, and it is 0 wherever the goal holds."""
+
+    def test_h_is_consistent(self):
+        rng = random.Random(18)
+        checked = goals = 0
+        for search in TestSuccessorTable._searches():
+            dist, width = search.dist, len(search.by_gate)
+
+            def h(delta):
+                return min([dist[-1]] + [dist[b] for b in range(width) if delta >> b & 1])
+
+            for index in range(len(search.prepared)):
+                for density in (0.1, 0.25, 0.5) * 10:
+                    delta = sum(1 << bit for bit in range(width) if rng.random() < density)
+                    if search.finish(delta) is not None:
+                        assert h(delta) == 0
+                        goals += 1
+                    successor = search.successor(index, delta)
+                    if successor is None:
+                        continue
+                    tail, added, reach = successor
+                    assert reach == min(dist[b] for b in range(width) if added >> b & 1)
+                    assert h(delta) <= len(tail) + h(delta | added)
+                    checked += 1
+        assert checked > 1000 and goals > 100
+
+
+class TestDenseNetwork:
+    """``dense_fixture``: every host is a pivot, so a uniform-cost search
+    pushes every exploit set shorter than the k-th plan."""
+
+    @staticmethod
+    def _task(hosts):
+        network, catalog = dense_fixture(hosts)
+        return build_task(network_from_dict(network),
+                          ExploitMatrix(tuple(records_from_dict(catalog))))[2]
+
+    def test_plans_equal_the_oracle(self):
+        # brute force over 4 hosts' 18 exploits already takes ~20 s
+        task = self._task(3)
+        plans = find_top_k(task, 10 ** 6)
+        assert len(plans) == 2
+        assert {exploit_key(task, p) for p in plans} == brute_force_minimal_sets(task)
+
+    def test_fifty_hosts_keep_their_order_with_few_pushes(self):
+        # dense50_order.json holds the 13 plans of the uniform-cost search,
+        # which pushed 396,967 entries and popped 4,567 to find them
+        task = self._task(50)
+        search = planner._Search(task)
+        plans = search.run(13, len(task.actions), 100_000)
+        golden = json.loads((Path(__file__).resolve().parent / "golden" / "dense50_order.json")
+                            .read_text(encoding="utf-8"))
+        assert [list(plan.steps) for plan in plans] == golden
+        assert search.pushes <= 5_000 and search.expansions <= 100
+
+    def test_counters_of_a_search_that_never_expands(self, motivating_task):
+        _, _, task = motivating_task
+        goal = (frozenset((compromised_atom("web_server", PrivilegeLevel.ROOT).render(),)),)
+        search = planner._Search(task, goal)
+        assert search.run(13, len(task.actions), 1) == []
+        assert (search.expansions, search.pushes) == (0, 0)
 
 
 def _relevant_by_passes(task, goal):

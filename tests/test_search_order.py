@@ -7,8 +7,11 @@ purdue@21, at the sweep's default k and budget, where data1's ROOT search
 is proved complete with 5 plans long before the budget. Those per-level
 searches are the ones the sweep ran before it asked for each host at any
 level in one search; they stay as orders of ``find_top_k`` on one-atom
-goals. The file was written by the string-set search that preceded the
-interned core, by running this module as a script:
+goals. Unless a budget stops it, a search returns the plans the string-set
+search that preceded the interned core returned; a budget stop can fall
+later, and ``test_budget_stops_are_prefixes`` checks that it still returns
+a prefix of the unbudgeted order. The file is written by running this
+module as a script:
 
     PYTHONPATH=src python tests/test_search_order.py
 """
@@ -87,17 +90,35 @@ def test_random_fixture_order(golden, seed):
     assert random_orders(seed) == golden["random"][str(seed)]
 
 
+def test_budget_stops_are_prefixes():
+    # a search stopped at its budget returns the first plans of the order an
+    # unbudgeted search returns, however far it got
+    stopped = 0
+    for seed in RANDOM_SEEDS:
+        _, task = _task(*random_fixture(seed))
+        if task is None:
+            continue
+        for k in KS:
+            full = find_top_k(task, k)
+            for budget in (1, 25):
+                plans = find_top_k(task, k, max_expansions=budget)
+                assert plans == full[:len(plans)], (seed, k, budget)
+                stopped += len(plans) < len(full)
+    assert stopped > 20
+
+
 def test_purdue21_sweep_order(golden, caplog):
     with caplog.at_level("DEBUG", logger="chainplan.planner"):
         orders = purdue21_sweep_orders()
     assert orders == golden["purdue21_sweep"]
-    # no search stops at the budget; data1's ROOT search is the one proved
-    # complete before its heap drains, with 5 plans
+    # no search stops at the budget; four ROOT searches are proved complete
+    # with 5 plans before their heaps drain: data1's, then web_server1..3's
     messages = [r.getMessage() for r in caplog.records if r.name == "chainplan.planner"]
     assert not [m for m in messages if "enumeration stopped" in m]
     assert [m for m in messages if m.startswith("proved complete")] == [
-        "proved complete after 2532 expansions with 5 plan(s)"]
-    assert len(orders["data1 ROOT"]) == 5
+        f"proved complete after {n} expansions with 5 plan(s)" for n in (884, 136, 130, 112)]
+    assert [len(orders[f"{host} ROOT"]) for host in
+            ("data1", "web_server1", "web_server2", "web_server3")] == [5] * 4
 
 
 if __name__ == "__main__":
