@@ -728,7 +728,8 @@ class _Search:
         One backward 0-1 BFS from the goal's clause and need bits, over edges
         from each bit that can enable an exploit (any clause or need bit) to
         each of its effects, weight 1, and from each clause bit of a connect
-        to the need it meets, weight 0. The root stands in for an exploit or
+        to the need it meets, weight 0: the goal's needs as well as the
+        exploits', added once per need. The root stands in for an exploit or
         connect with no open clause. The bound is the path relaxation behind
         h_max (Bonet & Geffner, AIJ 2001).
         """
@@ -742,16 +743,20 @@ class _Search:
 
         # items: (weight, the bits that enable it); by_target: bit -> items
         items, by_target = [], [[] for _ in range(width + 1)]  # the root is no target
+        # need bit -> its achievers, so a need's edges are added once
+        chains = {need.bit_length() - 1: chain for need, chain in self.goal_needs}
         for _, clause_masks, needs, effects in self.prepared:
             sources = bits(clause_masks)
-            sources += [need.bit_length() - 1 for need, _ in needs]
+            for need, chain in needs:
+                sources.append(need.bit_length() - 1)
+                chains[sources[-1]] = chain
             for flag in _flags(effects):
                 by_target[flag.bit_length() - 1].append(len(items))
             items.append((1, sources))
-            for need, chain in needs:
-                for _, achiever_clauses in chain:
-                    by_target[need.bit_length() - 1].append(len(items))
-                    items.append((0, bits(achiever_clauses)))
+        for bit, chain in chains.items():
+            for _, achiever_clauses in chain:
+                by_target[bit].append(len(items))
+                items.append((0, bits(achiever_clauses)))
         done = [False] * len(items)
         dist = [float("inf")] * (width + 1)
         level = [flag.bit_length() - 1 for mask in self.goal for flag in _flags(mask)]
@@ -895,11 +900,11 @@ class _Search:
         popped = 0
         found_at = 0  # expansions when the last plan was recorded
         unchecked = False  # no completeness check has seen the latest plan yet
-        # an entry is (length + h, steps, counter, exploit set, delta, h), where
+        # an entry is (length + h, steps, counter, exploit set, delta), where
         # h, the least ``dist`` over delta's bits and the root, bounds the
-        # steps left; the goal is reachable here, so every h is finite
-        root = self.dist[-1]
-        heap = [(root, (), counter, 0, 0, root)]
+        # steps left; the goal is reachable here, so the root's h is finite
+        # and a child's, never above its parent's, is too
+        heap = [(self.dist[-1], (), counter, 0, 0)]
         while heap and len(plans) < k:
             # once a search has gone as long without a plan as it took to find
             # the last one, check whether its plans are all there are
@@ -915,7 +920,7 @@ class _Search:
                         "raise max_expansions for exhaustive results", max_expansions,
                         len(plans))
                 break
-            _, steps, _, exploit_set, delta, h = heapq.heappop(heap)
+            key, steps, _, exploit_set, delta = heapq.heappop(heap)
             if exploit_set in visited:
                 continue
             visited.add(exploit_set)
@@ -939,6 +944,7 @@ class _Search:
                 candidates |= by_gate[low.bit_length() - 1]
                 gates ^= low
             candidates &= ~exploit_set
+            h = key - len(steps)
             while candidates:  # lowest bit first, so in prepared order
                 flag = candidates & -candidates
                 candidates ^= flag
@@ -962,7 +968,7 @@ class _Search:
                 counter += 1
                 child_h = reach if reach < h else h
                 heapq.heappush(heap, (length + child_h, child_steps, counter, child_set,
-                                      delta | added, child_h))
+                                      delta | added))
         self.expansions, self.pushes = min(popped, max_expansions), counter
         return plans
 

@@ -576,10 +576,44 @@ class TestDistanceBound:
     of a uniform-cost search only if h is consistent: a step never lowers it
     by more than the steps it appends, and it is 0 wherever the goal holds."""
 
+    @staticmethod
+    def _searches():
+        yield from TestSuccessorTable._searches()
+        # connection goals: the goal's need may be one no prepared exploit
+        # has, so only the goal's own achiever edges bound the steps to it
+        for _, task in _oracle_tasks(range(60)):
+            for goal in sorted({e for a in task.connect_actions for e in a.effects}):
+                yield planner._Search(task.with_goal((goal,)))
+        yield planner._Search(TestDistanceBound._purdue21_connection())
+
+    @staticmethod
+    def _purdue21_connection():
+        network, catalog = purdue_fixture(hosts=21)
+        task = build_task(network_from_dict(network),
+                          ExploitMatrix(tuple(records_from_dict(catalog))))[2]
+        return task.with_goal(("(TCP_connected web_server2 data1 a--apache--couchdb)",))
+
+    def test_the_root_is_finite_where_the_goal_is_reachable(self):
+        reachable = 0
+        for search in self._searches():
+            if search.complete(()) is False:
+                assert search.dist[-1] < float("inf")
+                reachable += 1
+        assert reachable > 50
+
+    def test_a_connection_goal_keeps_length_order(self):
+        # the connect to data1 needs a foothold on web_server2, which only
+        # exploits reach; plans come shortest first and none holds another
+        goal = self._purdue21_connection()
+        plans = find_top_k(goal, 13)
+        assert [p.cost for p in plans] == [3, 5, 5, 7, 7]
+        sets = [exploit_key(goal, p) for p in plans]
+        assert not any(a < b for a in sets for b in sets)
+
     def test_h_is_consistent(self):
         rng = random.Random(18)
         checked = goals = 0
-        for search in TestSuccessorTable._searches():
+        for search in self._searches():
             dist, width = search.dist, len(search.by_gate)
 
             def h(delta):
