@@ -9,6 +9,7 @@ small.
 from __future__ import annotations
 
 import json
+import logging
 import re
 from dataclasses import dataclass, field, replace
 
@@ -25,6 +26,8 @@ from .catalog import (
     split_version,
 )
 from .errors import DanglingReference, SchemaError, UnknownClass, UnknownHost
+
+logger = logging.getLogger(__name__)
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _RESERVED_NAMES = {"agent"} | {p.pddl_name.lower() for p in PrivilegeLevel}
@@ -107,6 +110,13 @@ class NetworkSpec:
                                   f"/hosts/{i}/name")
             names[host.name] = host
             all_names.add(host.name)
+            # listen and version facts name a host's product by its token, so
+            # two installed products of one product would mix their facts
+            products = [(p.cpe.part, p.cpe.vendor, p.cpe.product) for p in host.products]
+            for j, product in enumerate(products):
+                if product in products[:j]:
+                    raise SchemaError(f"host {host.name!r} installs {':'.join(product)} "
+                                      "twice", f"/hosts/{i}/products/{j}")
             for subnet in host.subnets:
                 if subnet not in self.subnets:
                     raise DanglingReference(
@@ -317,35 +327,36 @@ class RelevanceResult:
         return tuple(r.exploit_id for r in self.relevant)
 
 
-def _record_matches(record, host: Host) -> list[ProductInstance]:
-    """Installed products on ``host`` that the exploit can target."""
-    hits = []
-    if record.exploit_class.exploit_type is ExploitType.RCE:
-        candidates = host.listeners(record.exploit_class.protocol)
-    else:
-        candidates = host.products
-    for instance in candidates:
-        if any(cpe_matches(config, instance.cpe) for config in record.vulnerable_configs):
-            hits.append(instance)
-    return hits
-
-
 def select_relevant_exploits(net: NetworkSpec, matrix: ExploitMatrix) -> RelevanceResult:
     """Pick the exploits some host is vulnerable to.
 
     An RCE exploit needs its matched product exposed on the exploit's
-    protocol; a PE exploit only needs the product installed.
+    protocol; a PE exploit only needs the product installed. Whether a
+    record's configs match a candidate CPE is decided once per distinct CPE
+    among the candidates, not once per host that has it; each record's
+    ``matches`` then lists its matched products in host order.
     """
+    candidates = {}  # by protocol (PE records carry none): distinct CPEs, and rows
+    for protocol, attr in ((None, "products"), (Protocol.TCP, "tcp_listen"),
+                           (Protocol.UDP, "udp_listen")):
+        number: dict[Cpe, int] = {}
+        rows = [(host.name, instance, number.setdefault(instance.cpe, len(number)))
+                for host in net.hosts for instance in getattr(host, attr)]
+        candidates[protocol] = (tuple(number), rows)
     relevant = []
+    decisions = 0
     for record in matrix:
-        matches = []
-        for host in net.hosts:
-            for instance in _record_matches(record, host):
-                matches.append((host.name, instance))
+        cpes, rows = candidates[record.exploit_class.protocol]
+        configs = record.vulnerable_configs
+        vulnerable = [any(cpe_matches(config, cpe) for config in configs) for cpe in cpes]
+        decisions += len(cpes)
+        matches = tuple((host, instance) for host, instance, n in rows if vulnerable[n])
         if matches:
-            relevant.append(RelevantExploit(record.id, tuple(matches)))
+            relevant.append(RelevantExploit(record.id, matches))
+    logger.debug("relevance: %d records kept, %d discarded; %d distinct CPEs, %d match "
+                 "decisions", len(relevant), len(matrix) - len(relevant),
+                 len(candidates[None][0]), decisions)
     return RelevanceResult(
         relevant=tuple(relevant),
         discarded_count=len(matrix) - len(relevant),
     )
-

@@ -8,6 +8,7 @@ nondecreasing length order, deduplicated by their set of exploit actions
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -177,15 +178,12 @@ class _FactIndex:
             known = self._sets[name] = set(self.by_pred.get(name, ()))
         return known
 
-    def candidates(self, atom: Atom, binding: dict):
-        """Smallest fact list consistent with the bound positions of ``atom``."""
-        facts = self.by_pred.get(atom.name, ())
-        best = facts
-        for position, pattern in enumerate(atom.args):
-            value = binding.get(pattern) if pattern.startswith("?") else pattern
-            if value is None:
-                continue
-            key = (atom.name, position)
+    def candidates(self, name: str, known) -> list:
+        """Smallest fact list of ``name`` consistent with ``known``, its
+        (position, value) pairs."""
+        facts = best = self.by_pred.get(name, ())
+        for position, value in known:
+            key = (name, position)
             index = self._positional.get(key)
             if index is None:
                 index = {}
@@ -198,14 +196,17 @@ class _FactIndex:
         return best
 
 
-def _bindings(schema, fluents, facts: "_FactIndex", objects_by_type, lead=None) -> list[dict]:
-    """Parameter bindings consistent with the static singleton atoms.
+def _bindings(schema, fluents, facts: "_FactIndex", objects_by_type,
+              lead=None) -> list[tuple[str, ...]]:
+    """Argument tuples, in parameter order, consistent with the static
+    singleton atoms.
 
     ``lead``, an (atom, fact index) pair, is joined first when given: then
     only bindings that make the atom one of those facts come out. The join
     extends all partial bindings by one constraint at a time, so they bind
     the same variables; a constraint with every variable bound by then is a
-    membership test. Unconstrained parameters range over their type.
+    membership test. Unconstrained parameters range over their type, and a
+    parameter listed twice takes the value bound last, as in a dict.
     """
     constraints = [
         (clause[0], facts) for clause in schema.precondition
@@ -218,69 +219,121 @@ def _bindings(schema, fluents, facts: "_FactIndex", objects_by_type, lead=None) 
     partials = [{}]
     bound: set[str] = set()
     for atom, index in constraints:
-        variables = {a for a in atom.args if a.startswith("?")}
-        if variables <= bound:  # every argument is known: a membership test
-            known = index.fact_set(atom.name)
-            partials = [b for b in partials if tuple(b.get(a, a) for a in atom.args) in known]
+        pattern = [(arg, arg.startswith("?")) for arg in atom.args]
+        # constants, and variables an earlier constraint bound, are known in
+        # every partial binding
+        known = [(i, arg, var) for i, (arg, var) in enumerate(pattern)
+                 if not var or arg in bound]
+        if len(known) == len(pattern):  # a membership test
+            present = index.fact_set(atom.name)
+            partials = [b for b in partials
+                        if tuple([b[arg] if var else arg for arg, var in pattern]) in present]
             continue
-        bound |= variables
+        bound.update(arg for arg, var in pattern if var)
         grown = []
         for binding in partials:
-            for fact_args in index.candidates(atom, binding):
+            for fact_args in index.candidates(
+                    atom.name, [(i, binding[arg] if var else arg) for i, arg, var in known]):
                 new = dict(binding)
-                for pattern, value in zip(atom.args, fact_args):
-                    if pattern.startswith("?"):
-                        if new.setdefault(pattern, value) != value:
+                for (arg, var), value in zip(pattern, fact_args):
+                    if var:
+                        if new.setdefault(arg, value) != value:
                             break
-                    elif pattern != value:
+                    elif arg != value:
                         break
                 else:
                     grown.append(new)
         partials = grown
     free = [(v, t) for v, t in schema.parameters if v not in bound]
+    # a row holds a partial binding's values, then one object per free
+    # parameter; each parameter gathers its last column
+    order = list(bound)
+    column = {v: i for i, v in enumerate(order + [v for v, _ in free])}
+    gather = [column[v] for v, _ in schema.parameters]
+    pools = [objects_by_type.get(t, ()) for _, t in free]
     out = []
     for partial in partials:
-        for objects in itertools.product(*(objects_by_type.get(t, ()) for _, t in free)):
-            binding = dict(partial)
-            binding.update(zip((v for v, _ in free), objects))
-            out.append(binding)
+        head = tuple([partial[v] for v in order])
+        for objects in itertools.product(*pools):
+            row = head + objects
+            out.append(tuple([row[i] for i in gather]))
     return out
 
 
-def _instantiate(schema, source, binding: dict, fluents, init_set) -> GroundAction | None:
-    """The ground action of a full binding, or None when grounding drops it:
-    a connect from a host to itself, or a static clause that init falsifies.
-    Static clauses that init satisfies are left out of the precondition."""
-    if source[0] == "connect" and \
-            binding.get("?local_host") == binding.get("?remote_host"):
-        return None
+def _template(atom: Atom, position: dict) -> str:
+    """``atom`` as a ``str.format`` template over an argument tuple: a
+    parameter becomes its position there, and braces in names are doubled."""
+    parts = [atom.name.replace("{", "{{").replace("}", "}}")]
+    for arg in atom.args:
+        parts.append("{%d}" % position[arg] if arg in position
+                     else arg.replace("{", "{{").replace("}", "}}"))
+    return "(" + " ".join(parts) + ")"
 
-    def inst(atom: Atom) -> str:
-        return "(" + " ".join([atom.name] + [binding.get(a, a) for a in atom.args]) + ")"
 
-    runtime: list[frozenset[str]] = []
-    for clause in schema.precondition:
-        static_hit = False
-        fluent_atoms = []
+class _Schema:
+    """An action schema compiled for one ``ground`` call: its clauses and
+    effects as format templates over the action's argument tuple, in
+    parameter order, so that instantiating one builds only the strings it
+    keeps or checks."""
+
+    def __init__(self, schema, fluents, init_set):
+        self.schema = schema
+        self.source = _schema_source(schema)
+        self.init_set = init_set
+        self.variables = tuple(var for var, _ in schema.parameters)
+        self.fluents = fluents
+        self.position = {var: i for i, var in enumerate(self.variables)}
+        # (fluent atoms, static atoms) of the clauses that a binding from
+        # ``_bindings`` still has to check: all but the static singletons it
+        # joins against init. It reads only ``?`` arguments as parameters, and
+        # one named without ``?`` is substituted here, so that clause is kept
+        self.unjoined = tuple(
+            self._clause(clause) for clause in schema.precondition
+            if len(clause) > 1 or clause[0].name in fluents or not all(
+                arg.startswith("?") or arg not in self.position for arg in clause[0].args))
+        self.effects = tuple(_template(atom, self.position).format for atom in schema.effects)
+        # a connect never joins a host to itself: the positions of its two
+        # ends; () when it names neither (both read as None, so every instance
+        # is dropped), None when it names one or is no connect
+        ends = tuple(self.position[var] for var in ("?local_host", "?remote_host")
+                     if var in self.position)
+        self.ends = ends if self.source[0] == "connect" and len(ends) != 1 else None
+
+    def _clause(self, clause) -> tuple[tuple, tuple]:
+        fluent, static = [], []
         for atom in clause:
-            text = inst(atom)
-            if atom.name in fluents:
-                fluent_atoms.append(text)
-            elif text in init_set:
-                static_hit = True
-                break
-        if static_hit:
-            continue
-        if not fluent_atoms:
+            (fluent if atom.name in self.fluents else static).append(
+                _template(atom, self.position).format)
+        return tuple(fluent), tuple(static)
+
+    @functools.cached_property
+    def clauses(self) -> tuple[tuple[tuple, tuple], ...]:
+        """(fluent atoms, static atoms) of every clause, for a binding that
+        no join has checked: compiled on first use."""
+        return tuple(self._clause(clause) for clause in self.schema.precondition)
+
+    def instantiate(self, args: tuple[str, ...], joined: bool) -> GroundAction | None:
+        """The ground action of ``args``, or None when grounding drops it: a
+        connect from a host to itself, or a static clause that init
+        falsifies. Static clauses that init satisfies are left out of the
+        precondition. ``joined`` says that ``args`` came from ``_bindings``,
+        which has made every static singleton a fact of init already."""
+        if self.ends is not None and (not self.ends or args[self.ends[0]] == args[self.ends[1]]):
             return None
-        runtime.append(frozenset(fluent_atoms))
-    return GroundAction(
-        name=schema.name,
-        args=tuple(binding[v] for v, _ in schema.parameters),
-        source=source,
-        precondition=tuple(runtime),
-        effects=tuple(inst(a) for a in schema.effects),
-    )
+        runtime: list[frozenset[str]] = []
+        for fluent, static in self.unjoined if joined else self.clauses:
+            if static and any(atom(*args) in self.init_set for atom in static):
+                continue
+            if not fluent:
+                return None
+            runtime.append(frozenset([atom(*args) for atom in fluent]))
+        return GroundAction(
+            name=self.schema.name,
+            args=args,
+            source=self.source,
+            precondition=tuple(runtime),
+            effects=tuple([atom(*args) for atom in self.effects]),
+        )
 
 
 def _action_order(action: GroundAction) -> tuple:
@@ -294,15 +347,15 @@ class _ConnectGrounder:
 
     def __init__(self, schemas, predicates, fluents, facts, objects_by_type,
                  object_types, init_set):
-        self.schemas = {s.name: (s, _schema_source(s)) for s in schemas}
+        self.schemas = {s.name: _Schema(s, fluents, init_set) for s in schemas}
         # declared argument types of the predicates connects achieve
         self.achieved = {a.name: tuple(kind for _, kind in predicates[a.name])
                          for s in schemas for a in s.effects}
         self.fluents = fluents
         self.facts = facts
+        self.tried = 0  # bindings instantiated by ``achievers`` so far
         self.objects_by_type = objects_by_type
         self.object_types = object_types
-        self.init_set = init_set
         self._folded: tuple[dict, dict] | None = None
 
     def achievers(self, atoms) -> list[GroundAction]:
@@ -321,16 +374,18 @@ class _ConnectGrounder:
             return []
         index = _FactIndex(wanted)
         out = []
-        for schema, source in self.schemas.values():
-            found: dict[tuple, GroundAction] = {}
-            for effect in schema.effects:
-                for binding in _bindings(schema, self.fluents, self.facts,
-                                         self.objects_by_type, lead=(effect, index)):
-                    action = _instantiate(schema, source, binding, self.fluents,
-                                          self.init_set)
+        for compiled in self.schemas.values():
+            seen = set()  # one binding can achieve several wanted atoms
+            for effect in compiled.schema.effects:
+                for args in _bindings(compiled.schema, self.fluents, self.facts,
+                                      self.objects_by_type, lead=(effect, index)):
+                    if args in seen:
+                        continue
+                    seen.add(args)
+                    action = compiled.instantiate(args, joined=True)
                     if action is not None:
-                        found.setdefault(action.args, action)
-            out.extend(found.values())
+                        out.append(action)
+            self.tried += len(seen)
         return out
 
     def resolve(self, action_id) -> GroundAction | None:
@@ -338,13 +393,14 @@ class _ConnectGrounder:
         if not isinstance(action_id, str):
             return None
         name, *args = action_id.split(" ")
-        schema, source = self.schemas.get(name, (None, None))
-        if schema is None or len(args) != len(schema.parameters) or any(
+        compiled = self.schemas.get(name)
+        if compiled is None or len(args) != len(compiled.schema.parameters) or any(
                 self.object_types.get(arg) != kind
-                for arg, (_, kind) in zip(args, schema.parameters)):
+                for arg, (_, kind) in zip(args, compiled.schema.parameters)):
             return None
-        binding = {var: arg for (var, _), arg in zip(schema.parameters, args)}
-        return _instantiate(schema, source, binding, self.fluents, self.init_set)
+        binding = dict(zip(compiled.variables, args))  # a parameter named twice: its last
+        return compiled.instantiate(tuple([binding[var] for var in compiled.variables]),
+                                    joined=False)
 
     def resolve_folded(self, text: str) -> list[str]:
         """The connect ids that lower-case to ``text`` (lower-cased) and resolve."""
@@ -384,6 +440,9 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
     other connect that full grounding would produce is still a valid id:
     ``PlanningTask.action`` and ``match_plan`` ground it from its id on a
     miss, by the same type, self-connect and static-clause rules.
+
+    Each schema is compiled once per call into format templates (``_Schema``),
+    and the bindings of the static join are instantiated from those.
     """
     predicates = dict(domain.predicates)
     object_types: dict[str, str] = {}
@@ -426,13 +485,16 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
     facts = _FactIndex(init_by_pred)
 
     exploits: list[GroundAction] = []
+    tried = 0
     for schema in domain.actions:
         _check_schema_types(schema, predicates, object_types)
-        source = _schema_source(schema)
-        if source[0] == "connect":
+        if schema.name in CONNECT_ACTIONS:
             continue
-        for binding in _bindings(schema, fluents, facts, objects_by_type):
-            action = _instantiate(schema, source, binding, fluents, init_set)
+        compiled = _Schema(schema, fluents, init_set)
+        bindings = _bindings(schema, fluents, facts, objects_by_type)
+        tried += len(bindings)
+        for args in bindings:
+            action = compiled.instantiate(args, joined=True)
             if action is not None:
                 exploits.append(action)
 
@@ -475,6 +537,8 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
     universe = set(init_set) | goal
     for action in actions:
         universe.update(*action.precondition, action.effects)
+    logger.debug("ground: %d schemas, %d bindings tried, %d actions kept, %d atoms",
+                 len(domain.actions), tried + resolver.tried, len(actions), len(universe))
 
     return PlanningTask(
         atoms=tuple(sorted(universe)),

@@ -2,10 +2,11 @@
 
 These deliberately re-derive results through different algorithms than the
 library: set-saturation feasibility instead of plan search, the network
-model interpreted directly instead of through PDDL, exhaustive
-cross-product grounding instead of join-based grounding, a regex pull
-instead of the CVSS metric parser, and a character-by-character scan instead
-of the PDDL tokenizer's regex.
+model interpreted directly instead of through PDDL, relevance matched per
+host and product instead of per distinct CPE, exhaustive cross-product
+grounding instead of join-based grounding, a regex pull instead of the CVSS
+metric parser, and a character-by-character scan instead of the PDDL
+tokenizer's regex.
 """
 from __future__ import annotations
 
@@ -85,6 +86,33 @@ def brute_force_any_of(task, atoms):
     members of the union of each atom's ``brute_force_minimal_sets``."""
     return minimal_members(set().union(
         *(brute_force_minimal_sets(task.with_goal((atom,))) for atom in atoms)))
+
+
+# --- relevance, one match decision per (record, host, product) ------------------
+
+def naive_relevance(net, matrix):
+    """The ``RelevanceResult`` of matching every record against every
+    candidate product of every host: the listeners on the record's protocol
+    for an RCE record, the installed products for a PE record."""
+    from chainplan.netmodel import RelevanceResult, RelevantExploit
+
+    relevant = []
+    for record in matrix:
+        cls = record.exploit_class
+        matches = []
+        for host in net.hosts:
+            if cls.exploit_type is ExploitType.RCE:
+                candidates = host.listeners(cls.protocol)
+            else:
+                candidates = host.products
+            for instance in candidates:
+                if any(cpe_matches(config, instance.cpe)
+                       for config in record.vulnerable_configs):
+                    matches.append((host.name, instance))
+        if matches:
+            relevant.append(RelevantExploit(record.id, tuple(matches)))
+    return RelevanceResult(relevant=tuple(relevant),
+                           discarded_count=len(matrix) - len(relevant))
 
 
 # --- the network model, interpreted without PDDL ------------------------------

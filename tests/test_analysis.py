@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from chainplan import (
     ExploitMatrix,
     PrivilegeLevel,
+    compile_network,
     exploit_key,
     network_from_dict,
     records_from_dict,
@@ -21,7 +22,7 @@ from chainplan.analysis import (
 from chainplan.pddlgen import parse_pddl, to_pddl
 from chainplan.planner import Plan, ground
 from chainplan.errors import UnknownExploit
-from chainplan.synth import random_fixture
+from chainplan.synth import purdue_fixture, random_fixture
 
 from conftest import FIXTURES, MOTIVATING_CHAIN, build_task, fixture_pair
 from oracles import brute_force_minimal_sets, minimal_members, network_minimal_sets, \
@@ -179,6 +180,23 @@ def _reference_sweep(net, matrix, k):
         }
     return {"per_host": per_host,
             "total": sum(row["plans"] for row in per_host.values())}
+
+
+class TestCompileLog:
+    def test_relevance_and_grounding_say_what_they_did(self, caplog):
+        # 800 installed products are 25 distinct CPEs: the 86 records take
+        # 2,033 match decisions, each against the distinct CPEs it may target
+        net_dict, cat_dict = purdue_fixture(hosts=400)
+        net = network_from_dict(net_dict)
+        matrix = ExploitMatrix(tuple(records_from_dict(cat_dict)))
+        with caplog.at_level("DEBUG", logger="chainplan"):
+            compile_network(net, matrix)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("chainplan.netmodel", "relevance: 86 records kept, 0 discarded; "
+                                   "25 distinct CPEs, 2033 match decisions"),
+            ("chainplan.planner", "ground: 90 schemas, 12429 bindings tried, "
+                                  "9535 actions kept, 6942 atoms"),
+        ]
 
 
 class TestSweepEquivalence:

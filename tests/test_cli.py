@@ -505,6 +505,32 @@ class TestUsageAndInputErrors:
         assert (code, out) == (1, "")
         assert err == "error: plan: line 1, column 1: malformed plan step\n"
 
+    def test_one_product_installed_twice_exits_1(self, capsys, tmp_path):
+        # h1's idle ssl 1.0.1 and listening 1.1.0 share one token, so a 1.0.1
+        # RCE would fire on h1's listener; the network is rejected on load
+        ssl = "cpe:2.3:a:v:ssl:{}:*:*:*:*:*:*:*"
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps({
+            "subnets": ["z"],
+            "hosts": [
+                {"name": "a0", "subnets": ["z"], "products": []},
+                {"name": "h1", "subnets": ["z"], "products": [
+                    {"cpe": ssl.format("1.0.1")},
+                    {"cpe": ssl.format("1.1.0"), "tcp_listen": True}]},
+                {"name": "h2", "subnets": ["z"], "products": [
+                    {"cpe": ssl.format("1.0.1"), "tcp_listen": True}]},
+            ],
+            "scenario": {"attacker_host": "a0", "goal_host": "h1", "goal_privilege": "LOW"},
+        }))
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps({"records": [{
+            "id": "ssl_rce", "name": "ssl_rce", "source": "other", "description": "d",
+            "vulnerable_configs": [ssl.format("1.0.1")], "class": "RCE_TCP_N_L"}]}))
+        code, out, err = run_cli(capsys, "plan", "--network", str(network),
+                                 "--catalog", str(catalog))
+        assert (code, out) == (1, "")
+        assert err == "error: /hosts/1/products/1: host 'h1' installs a:v:ssl twice\n"
+
     @pytest.mark.parametrize("command", ["plan", "emit-pddl"])
     def test_colliding_identifiers_exit_1(self, capsys, tmp_path, command):
         # two vendors that differ only in case sanitize to one product identifier
@@ -554,6 +580,23 @@ class TestUsageAndInputErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out_file.read_text() == "keep\n"
+
+
+def test_verbose_logs_relevance_and_grounding_to_stderr():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    argv = ["plan", "--network", NETWORK, "--catalog", CATALOG, "--format", "json", "--no-meta"]
+    code = f"import sys; sys.path.insert(0, {src!r}); from chainplan import cli; " \
+        "sys.exit(cli.main(sys.argv[1:]))"
+    quiet, verbose = (subprocess.run([sys.executable, "-c", code, *flags, *argv],
+                                     capture_output=True, text=True, check=True)
+                      for flags in ([], ["-v"]))
+    assert verbose.stdout == quiet.stdout and quiet.stderr == ""
+    assert verbose.stderr.splitlines() == [
+        "DEBUG chainplan.netmodel: relevance: 3 records kept, 0 discarded; "
+        "5 distinct CPEs, 9 match decisions",
+        "DEBUG chainplan.planner: ground: 7 schemas, 13 bindings tried, 7 actions kept, "
+        "28 atoms",
+    ]
 
 
 def test_imports_only_the_standard_library():

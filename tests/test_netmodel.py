@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from chainplan import (
     ExploitMatrix,
     Protocol,
+    load_catalog,
     network_from_dict,
     records_from_dict,
     select_relevant_exploits,
 )
 from chainplan.errors import DanglingReference, SchemaError, UnknownHost
+from chainplan.synth import dense_fixture, purdue_fixture
 
 from conftest import FIXTURES, JSON_VALUES, fixture_pair, mutated_json, resolves
-from oracles import reachable_products
+from oracles import naive_relevance, reachable_products
 
 
 def _motivating_dict():
@@ -95,6 +97,30 @@ class TestLoadNetwork:
         data["hosts"].append(copy.deepcopy(data["hosts"][1]))
         with pytest.raises(SchemaError):
             network_from_dict(data)
+
+    def test_one_product_installed_twice(self):
+        # h1's listening 1.1.0 is not vulnerable, but its listen fact and the
+        # version fact of its idle 1.0.1 both name the token a--v--ssl, so a
+        # 1.0.1 RCE would fire on h1; such a host is rejected
+        data = {
+            "subnets": ["z"],
+            "hosts": [
+                {"name": "a0", "subnets": ["z"], "products": []},
+                {"name": "h1", "subnets": ["z"], "products": [
+                    {"cpe": "cpe:2.3:a:v:ssl:1.0.1:*:*:*:*:*:*:*"},
+                    {"cpe": "cpe:2.3:a:v:ssl:1.1.0:*:*:*:*:*:*:*", "tcp_listen": True}]},
+                {"name": "h2", "subnets": ["z"], "products": [
+                    {"cpe": "cpe:2.3:a:v:ssl:1.0.1:*:*:*:*:*:*:*", "tcp_listen": True}]},
+            ],
+            "scenario": {"attacker_host": "a0", "goal_host": "h1", "goal_privilege": "LOW"},
+        }
+        with pytest.raises(SchemaError) as err:
+            network_from_dict(data)
+        assert err.value.pointer == "/hosts/1/products/1"
+        assert "installs a:v:ssl twice" in str(err.value)
+        data["hosts"][1]["products"].pop(0)
+        assert [p.token for p in network_from_dict(data).host("h1").tcp_listen] == [
+            "a--v--ssl"]
 
     def test_reserved_name(self):
         data = _motivating_dict()
@@ -222,8 +248,14 @@ class TestRelevance:
         assert len(result.relevant) + result.discarded_count == len(motivating_matrix)
 
     def test_adding_product_never_shrinks(self):
+        checked = 0
         for seed in range(20):
             net, matrix = fixture_pair(seed)
+            # the loader rejects a host that installs one product twice
+            if any((p.cpe.vendor, p.cpe.product) == ("acme", "webd")
+                   for p in net.hosts[-1].products):
+                continue
+            checked += 1
             before = set(select_relevant_exploits(net, matrix).ids)
             data = json.loads(json.dumps({
                 "name": net.name,
@@ -250,6 +282,95 @@ class TestRelevance:
             grown = network_from_dict(data)
             after = set(select_relevant_exploits(grown, matrix).ids)
             assert before <= after
+        assert checked == 12
+
+
+def _shared_cpes():
+    """Hosts that share CPEs: drupal listens on TCP and gpsd on UDP, and the
+    versions include a wildcard, an NA and a partial one (8.6.9a)."""
+    def product(cpe, **listen):
+        return {"cpe": f"cpe:2.3:{cpe}:*:*:*:*:*:*:*", **listen}
+
+    drupal, gpsd = "a:drupal:drupal", "a:berlios:gpsd"
+    kernel = "o:linux:linux_kernel:4.8.0"
+    net = network_from_dict({
+        "subnets": ["z"],
+        "hosts": [
+            {"name": "a0", "subnets": ["z"], "products": []},
+            {"name": "h1", "subnets": ["z"], "products": [
+                product(f"{drupal}:8.6.9", tcp_listen=True), product(kernel)]},
+            {"name": "h2", "subnets": ["z"], "products": [
+                product(kernel), product(f"{gpsd}:2.7.0", udp_listen=True),
+                product(f"{drupal}:8.6.9", tcp_listen=True)]},
+            {"name": "h3", "subnets": ["z"], "products": [
+                product(f"{drupal}:8.6.9a", tcp_listen=True),
+                product("o:linux:linux_kernel:*")]},
+            {"name": "h4", "subnets": ["z"], "products": [
+                product(f"{drupal}:-"), product(f"{gpsd}:2.7.0"),
+                product("o:microsoft:windows:10.0.0")]},
+            {"name": "h5", "subnets": ["z"], "products": [
+                product(f"{gpsd}:*", udp_listen=True), product(kernel)]},
+        ],
+        "scenario": {"attacker_host": "a0", "goal_host": "h5"},
+    })
+    matrix = _catalog_records(
+        _record("drupal_rce", "RCE_TCP_N_L", f"cpe:2.3:{drupal}:8.6.9:*:*:*:*:*:*:*"),
+        _record("drupal_partial_rce", "RCE_TCP_N_H", f"cpe:2.3:{drupal}:8.6.9a:*:*:*:*:*:*:*"),
+        _record("drupal_pe", "PE_L_R", f"cpe:2.3:{drupal}:*:*:*:*:*:*:*:*"),
+        _record("gpsd_udp_rce", "RCE_UDP_N_R", f"cpe:2.3:{gpsd}:2.7.0:*:*:*:*:*:*:*"),
+        _record("gpsd_tcp_rce", "RCE_TCP_N_L", f"cpe:2.3:{gpsd}:2.7.0:*:*:*:*:*:*:*"),
+        _record("kernel_pe", "PE_L_R", f"cpe:2.3:{kernel}:*:*:*:*:*:*:*"),
+        _record("windows_pe", "PE_L_H", "cpe:2.3:o:microsoft:windows:-:*:*:*:*:*:*:*"),
+        _record("smb_rce", "RCE_TCP_N_H", "cpe:2.3:a:microsoft:smb_server:1.0:*:*:*:*:*:*:*"),
+    )
+    return net, matrix
+
+
+def _pair(net_dict, cat_dict):
+    return network_from_dict(net_dict), ExploitMatrix(tuple(records_from_dict(cat_dict)))
+
+
+class TestRelevanceOracle:
+    """Deciding a match once per distinct CPE gives what matching every
+    candidate product of every host gives, ``matches`` order included."""
+
+    @pytest.mark.parametrize("catalog", ["motivating_catalog.json",
+                                         "motivating_catalog_bpf.json"])
+    def test_motivating(self, motivating_network, catalog):
+        matrix = load_catalog(FIXTURES / catalog)
+        assert select_relevant_exploits(motivating_network, matrix) == \
+            naive_relevance(motivating_network, matrix)
+
+    @pytest.mark.parametrize("hosts", [21, 400])
+    def test_purdue(self, hosts):
+        net, matrix = _pair(*purdue_fixture(hosts=hosts))
+        result = select_relevant_exploits(net, matrix)
+        assert len(result.relevant) == len(matrix)
+        assert result == naive_relevance(net, matrix)
+
+    def test_random_and_dense(self):
+        pairs = [fixture_pair(seed) for seed in range(40)] + [_pair(*dense_fixture(6))]
+        for net, matrix in pairs:
+            assert select_relevant_exploits(net, matrix) == naive_relevance(net, matrix), \
+                net.name
+
+    def test_shared_cpes(self):
+        net, matrix = _shared_cpes()
+        result = select_relevant_exploits(net, matrix)
+        assert result == naive_relevance(net, matrix)
+        hosts = {r.exploit_id: [h for h, _ in r.matches] for r in result.relevant}
+        assert hosts == {
+            # 8.6.9a is (8, 6, *): each config matches the other version
+            "drupal_rce": ["h1", "h2", "h3"],
+            "drupal_partial_rce": ["h1", "h2", "h3"],
+            # h4's NA version is a wildcard; PE needs no listener
+            "drupal_pe": ["h1", "h2", "h3", "h4"],
+            # h4's gpsd does not listen
+            "gpsd_udp_rce": ["h2", "h5"],
+            "kernel_pe": ["h1", "h2", "h3", "h5"],
+            "windows_pe": ["h4"],
+        }
+        assert result.discarded_count == 2
 
 
 class TestReachability:

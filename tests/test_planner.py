@@ -209,6 +209,71 @@ class TestGround:
             assert [p.steps for p in find_top_k(again, 5)] == expected_plans
 
 
+# names with format directives: a template that let one through would
+# misrender or raise; ``hop{1}%s`` has a static clause of two atoms, and a
+# ``tcp_connect`` instance achieves both goal atoms
+_FORMAT_NAMES_DOMAIN = """(define (domain d%s{})
+  (:requirements :strips :typing)
+  (:types host tag)
+  (:predicates (on%s ?h - host) (up{} ?h - host) (lk%s ?h - host ?g - host)
+               (lab{0} ?h - host ?t - tag) (alt}{ ?h - host) (p% ?h - host))
+  (:action hop{1}%s
+    :parameters (?a{0} - host ?b% - host)
+    :precondition (and (on%s ?a{0}) (lab{0} ?b% t{1}) (or (alt}{ ?a{0}) (p% ?b%))
+                       (or (up{} ?a{0}) (p% ?a{0})))
+    :effect (on%s ?b%))
+  (:action tcp_connect
+    :parameters (?local_host - host ?remote_host - host)
+    :precondition (on%s ?local_host)
+    :effect (and (up{} ?remote_host) (lk%s ?local_host ?remote_host))))"""
+_FORMAT_NAMES_PROBLEM = """(define (problem q) (:domain d%s{})
+  (:objects h1 h{2} h%s - host t{1} - tag)
+  (:init (on%s h1) (lab{0} h{2} t{1}) (lab{0} h%s t{1}) (alt}{ h1) (p% h%s))
+  (:goal (and (up{} h{2}) (lk%s h1 h{2}))))"""
+
+
+class TestGroundTemplates:
+    """Grounding from compiled schema templates gives what exhaustive
+    grounding gives, whatever characters the names hold."""
+
+    def test_format_directives_in_names(self, monkeypatch):
+        domain = parse_pddl(_FORMAT_NAMES_DOMAIN)
+        problem = parse_pddl(_FORMAT_NAMES_PROBLEM)
+        built = []
+
+        def counted(**fields):
+            built.append(" ".join((fields["name"],) + fields["args"]))
+            return GroundAction(**fields)
+
+        monkeypatch.setattr(planner, "GroundAction", counted)
+        task = ground(domain, problem)
+
+        def rendered(clauses, effects):
+            return (tuple(frozenset("(" + " ".join(atom) + ")" for atom in clause)
+                          for clause in clauses),
+                    tuple("(" + " ".join(atom) + ")" for atom in effects))
+
+        full = naive_ground_all(domain, problem)
+        assert {a.id for a in task.actions} == naive_ground_ids(domain, problem)
+        assert [a.id for a in task.actions] == [
+            "hop{1}%s h%s h%s", "hop{1}%s h1 h%s", "hop{1}%s h1 h{2}", "hop{1}%s h{2} h%s",
+            "tcp_connect h%s h1", "tcp_connect h%s h{2}", "tcp_connect h1 h{2}",
+            "tcp_connect h{2} h1"]
+        # two connects no kept action needs resolve from their ids
+        assert len(full) == len(task.actions) + 2
+        for action_id, (_, clauses, effects) in full.items():
+            action = task.action(action_id)
+            assert (action.precondition, action.effects) == rendered(clauses, effects)
+        assert task.action("hop{1}%s h1 h{2}").precondition == (
+            frozenset({"(on%s h1)"}), frozenset({"(up{} h1)"}))
+        assert task.init == {"(on%s h1)", "(lab{0} h{2} t{1})", "(lab{0} h%s t{1})",
+                             "(alt}{ h1)", "(p% h%s)"}
+        assert task.goal == {"(up{} h{2})", "(lk%s h1 h{2})"}
+        # both effects of this connect are goal atoms; it was built once
+        assert built.count("tcp_connect h1 h{2}") == 1
+        assert len(task.actions) == len({a.id for a in task.actions})
+
+
 class TestWithGoal:
     def test_shares_the_compiled_task(self, motivating_task):
         _, _, task = motivating_task
