@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of chains to search for")
     p.add_argument("--max-len", type=_positive_int, default=None, help="plan length bound")
     p.add_argument("--max-expansions", type=_positive_int, default=100_000,
-                   help="search effort budget")
+                   help="search effort budget: exploit sets expanded")
     p.add_argument("--planner", choices=("embedded", "external"), default="embedded")
     p.add_argument("--target", help="override the goal host")
     p.add_argument("--goal-priv", help="override the goal privilege (NONE/LOW/HIGH/ROOT)")
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=13)
     p.add_argument("--max-len", type=_positive_int, default=None)
     p.add_argument("--max-expansions", type=_positive_int, default=20_000,
-                   help="search effort budget per goal")
+                   help="search effort budget per goal: exploit sets expanded")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sensitivity", parents=[common],
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=13)
     p.add_argument("--max-len", type=_positive_int, default=None)
     p.add_argument("--max-expansions", type=_positive_int, default=100_000,
-                   help="search effort budget per scenario")
+                   help="search effort budget per scenario: exploit sets expanded")
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("validate-plan", parents=[common],

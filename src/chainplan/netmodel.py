@@ -178,17 +178,25 @@ class NetworkSpec:
 
 # --- JSON loading -------------------------------------------------------------
 
-def _product_from_json(obj, pointer: str) -> tuple[ProductInstance, bool, bool]:
+def _product_from_json(obj, pointer: str,
+                       parsed: dict) -> tuple[ProductInstance, bool, bool]:
+    """One product entry. ``parsed`` maps each CPE string this network has
+    already loaded to its product, so each distinct string is parsed once;
+    a string that fails is never added, so it fails where it appears."""
     if not isinstance(obj, dict) or "cpe" not in obj:
         raise SchemaError("product entry must be an object with a 'cpe' key", pointer)
-    try:
-        cpe = parse_cpe(obj["cpe"])
-    except Exception as exc:
-        raise SchemaError(str(exc), f"{pointer}/cpe") from exc
-    try:
-        instance = ProductInstance.from_cpe(cpe)
-    except SchemaError as exc:
-        raise SchemaError(str(exc), f"{pointer}/cpe") from exc
+    text = obj["cpe"]
+    instance = parsed.get(text) if isinstance(text, str) else None
+    if instance is None:
+        try:
+            cpe = parse_cpe(text)
+        except Exception as exc:
+            raise SchemaError(str(exc), f"{pointer}/cpe") from exc
+        try:
+            instance = ProductInstance.from_cpe(cpe)
+        except SchemaError as exc:
+            raise SchemaError(str(exc), f"{pointer}/cpe") from exc
+        parsed[text] = instance
     return instance, bool(obj.get("tcp_listen", False)), bool(obj.get("udp_listen", False))
 
 
@@ -239,6 +247,7 @@ def network_from_dict(data: dict) -> NetworkSpec:
     subnets = _names(data, "subnets", "")
 
     hosts = []
+    parsed: dict[str, ProductInstance] = {}  # CPE string -> product, for the whole network
     for i, obj in enumerate(_typed(data, "hosts", list, [], "", "a list of host objects")):
         pointer = f"/hosts/{i}"
         if not isinstance(obj, dict) or "name" not in obj:
@@ -248,7 +257,7 @@ def network_from_dict(data: dict) -> NetworkSpec:
         for j, product_obj in enumerate(_typed(obj, "products", list, [], pointer,
                                                "a list of product objects")):
             instance, tcp_flag, udp_flag = _product_from_json(
-                product_obj, f"{pointer}/products/{j}"
+                product_obj, f"{pointer}/products/{j}", parsed
             )
             products.append(instance)
             if tcp_flag:

@@ -693,8 +693,18 @@ class _Search:
     wherever the goal holds. Every entry of one exploit set has the same
     delta, so the same h: each set's first-popped steps, the plans and their
     order are those of a uniform-cost search on ``(length, steps)``, which
-    pops every set shorter than the k-th plan; this one pops fewer. After
-    ``run``, ``expansions`` and ``pushes`` count its pops and heap pushes.
+    pops every set shorter than the k-th plan; this one pops fewer.
+
+    Expansion is partial (Yoshizumi, Miura & Ishida, AAAI 2000): a set
+    pushes only the children whose key equals its own, and re-enters the
+    heap once, keyed on the least key of the rest, to push those when the
+    frontier gets there. A re-entry's steps are a proper prefix of each
+    deferred child's, so it pops before any of them would have, and a child
+    is skipped at its push only where its pop would have been skipped; the
+    first pop of every set, and with it the plans and their order, are
+    those of the search that pushes every child at once. After ``run``,
+    ``expansions`` counts the exploit sets expanded (first pops; stale and
+    re-entry pops are not counted) and ``pushes`` its heap pushes.
     """
 
     def __init__(self, task: PlanningTask, goal=None):
@@ -948,6 +958,8 @@ class _Search:
         return True
 
     def run(self, k: int, max_len: int, max_expansions: int):
+        """Up to ``k`` minimal plans of at most ``max_len`` steps, in order,
+        after at most ``max_expansions`` exploit sets expanded."""
         self.expansions = self.pushes = 0
         # the certificate of the empty family: no plan unless the goal is
         # reachable at all (``complete`` rather than ``_proved``, which logs)
@@ -961,79 +973,97 @@ class _Search:
         recorded: list[int] = []
         visited: set[int] = set()
         counter = 0
-        popped = 0
+        expanded = 0
         found_at = 0  # expansions when the last plan was recorded
         unchecked = False  # no completeness check has seen the latest plan yet
-        # an entry is (length + h, steps, counter, exploit set, delta), where
-        # h, the least ``dist`` over delta's bits and the root, bounds the
-        # steps left; the goal is reachable here, so the root's h is finite
-        # and a child's, never above its parent's, is too
-        heap = [(self.dist[-1], (), counter, 0, 0)]
+        # an entry is (length + h, steps, counter, exploit set, delta, deferred),
+        # where h, the least ``dist`` over delta's bits and the root, bounds
+        # the steps left; the goal is reachable here, so the root's h is finite
+        # and a child's, never above its parent's, is too. ``deferred`` is None
+        # on a set's own entry, and (h, exploit flags) on a re-entry of an
+        # expanded set, keyed on the least key among the children it has yet
+        # to push
+        heap = [(self.dist[-1], (), counter, 0, 0, None)]
         while heap and len(plans) < k:
-            # once a search has gone as long without a plan as it took to find
-            # the last one, check whether its plans are all there are
-            if unchecked and popped == 2 * found_at:
-                unchecked = False
-                if self._proved(recorded, popped):
+            key, steps, _, exploit_set, delta, deferred = heapq.heappop(heap)
+            if deferred is None:
+                if exploit_set in visited:
+                    continue
+                # once a search has gone as long without a plan as it took to
+                # find the last one, check whether its plans are all there are
+                if unchecked and expanded == 2 * found_at:
+                    unchecked = False
+                    if self._proved(recorded, expanded):
+                        break
+                if expanded == max_expansions:
+                    if not (unchecked and self._proved(recorded, max_expansions)):
+                        logger.warning(
+                            "plan enumeration stopped after %d expansions with %d plan(s); "
+                            "raise max_expansions for exhaustive results", max_expansions,
+                            len(plans))
                     break
-            popped += 1
-            if popped > max_expansions:
-                if not (unchecked and self._proved(recorded, max_expansions)):
-                    logger.warning(
-                        "plan enumeration stopped after %d expansions with %d plan(s); "
-                        "raise max_expansions for exhaustive results", max_expansions,
-                        len(plans))
-                break
-            key, steps, _, exploit_set, delta = heapq.heappop(heap)
-            if exploit_set in visited:
-                continue
-            visited.add(exploit_set)
-            finished = finish(delta)
-            if finished is not None and len(steps) + len(finished[0]) <= max_len:
-                if not any(r & exploit_set == r for r in recorded):
-                    recorded.append(exploit_set)
-                    plans.append(Plan(steps=tuple(self.ids[s] for s in steps + finished[0])))
-                    found_at = popped
-                    unchecked = True
-                continue
+                expanded += 1
+                visited.add(exploit_set)
+                finished = finish(delta)
+                if finished is not None and len(steps) + len(finished[0]) <= max_len:
+                    if not any(r & exploit_set == r for r in recorded):
+                        recorded.append(exploit_set)
+                        plans.append(Plan(steps=tuple(self.ids[s] for s in steps + finished[0])))
+                        found_at = expanded
+                        unchecked = True
+                    continue
+                h = key - len(steps)
+                candidates = self.always
+                gates = delta
+                while gates:  # bit loops are inlined: this is the hot path
+                    low = gates & -gates
+                    candidates |= by_gate[low.bit_length() - 1]
+                    gates ^= low
+                candidates &= ~exploit_set
+            else:
+                h, candidates = deferred
             # what each recorded exploit set adds to this one: a child, one
             # exploit more, is subsumed exactly when a record adds that alone
             lacking = {r & ~exploit_set for r in recorded}
             if 0 in lacking:
                 continue
-            candidates = self.always
-            gates = delta
-            while gates:  # bit loops are inlined: this is the hot path
-                low = gates & -gates
-                candidates |= by_gate[low.bit_length() - 1]
-                gates ^= low
-            candidates &= ~exploit_set
-            h = key - len(steps)
+            depth = len(steps)
+            later = 0  # the children whose key is above this entry's
+            later_key = None
             while candidates:  # lowest bit first, so in prepared order
                 flag = candidates & -candidates
                 candidates ^= flag
                 index = flag.bit_length() - 1
-                table = tables[index]
-                key = delta & support[index]
-                if key in table:
-                    entry = table[key]
-                else:
-                    entry = table[key] = successor(index, key)
+                read = delta & support[index]
+                try:
+                    entry = tables[index][read]
+                except KeyError:
+                    entry = tables[index][read] = successor(index, read)
                 if entry is None:
                     continue
                 tail, added, reach = entry
-                child_steps = steps + tail
-                length = len(child_steps)
+                length = depth + len(tail)
                 if length > max_len:
+                    continue
+                child_key = length + (reach if reach < h else h)
+                if child_key > key:
+                    later |= flag
+                    if later_key is None or child_key < later_key:
+                        later_key = child_key
                     continue
                 child_set = exploit_set | flag
                 if child_set in visited or flag in lacking:
                     continue
                 counter += 1
-                child_h = reach if reach < h else h
-                heapq.heappush(heap, (length + child_h, child_steps, counter, child_set,
-                                      delta | added))
-        self.expansions, self.pushes = min(popped, max_expansions), counter
+                heapq.heappush(heap, (child_key, steps + tail, counter, child_set,
+                                      delta | added, None))
+            if later:
+                # its steps are a proper prefix of every deferred child's, so
+                # it pops before any of them would have
+                counter += 1
+                heapq.heappush(heap, (later_key, steps, counter, exploit_set, delta,
+                                      (h, later)))
+        self.expansions, self.pushes = expanded, counter
         return plans
 
 
@@ -1049,24 +1079,33 @@ def find_top_k(task: PlanningTask, k: int, max_len: int | None = None,
 
     The search is A*, keyed on length plus a lower bound on the steps left;
     it returns what a uniform-cost search over the same exploit sets would,
-    after fewer expansions.
+    after fewer expansions. Expansion is partial: an expanded set pushes
+    only the children at its own key and comes back for the rest when the
+    search reaches their keys, so children that would never pop are never
+    pushed. One DEBUG line on ``chainplan.planner`` gives the plans,
+    expansions and pushes of the search.
 
     ``max_len`` bounds total plan length (default: the number of grounded
     actions: ~9.5k on ``purdue_fixture(hosts=400)``, as grounding keeps only
     the connects some exploit needs, and still above any plan's length,
     since a minimal plan holds only kept actions). ``max_expansions`` caps
-    search effort. Results are exact when the search drains its heap within
-    the budget (small tasks do in well under a thousand expansions), or when
-    a completeness check proves the plans found are every minimal plan: a
-    search with fewer than ``k`` plans checks once it has gone as long
-    without a plan as it took to find its last one, and at a budget stop.
+    search effort, counted in exploit sets expanded. Results are exact when
+    the search drains its heap within the budget (small tasks do in well
+    under a thousand expansions), or when a completeness check proves the
+    plans found are every minimal plan: a search with fewer than ``k`` plans
+    checks once it has gone as long without a plan as it took to find its
+    last one, and at a budget stop.
     Otherwise a warning is logged and the plans found so far are returned:
     always the first plans of the order an unbudgeted search returns.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     bound = max_len if max_len is not None else len(task.actions)
-    return _Search(task, goal).run(k, bound, max_expansions)
+    search = _Search(task, goal)
+    plans = search.run(k, bound, max_expansions)
+    logger.debug("search: %d plan(s), %d expansions, %d pushes", len(plans),
+                 search.expansions, search.pushes)
+    return plans
 
 
 def find_plan(task: PlanningTask, max_len: int | None = None) -> Plan | None:

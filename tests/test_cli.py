@@ -596,6 +596,7 @@ def test_verbose_logs_relevance_and_grounding_to_stderr():
         "5 distinct CPEs, 9 match decisions",
         "DEBUG chainplan.planner: ground: 7 schemas, 13 bindings tried, 7 actions kept, "
         "28 atoms",
+        "DEBUG chainplan.planner: search: 1 plan(s), 4 expansions, 5 pushes",
     ]
 
 

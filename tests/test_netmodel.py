@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainplan import netmodel
 from chainplan import (
     ExploitMatrix,
     Protocol,
@@ -189,6 +190,28 @@ class TestLoadNetwork:
 
         assert motivating_network.scenario.attacker_privilege is PrivilegeLevel.ROOT
         assert motivating_network.scenario.goal_privilege is PrivilegeLevel.ROOT
+
+    def test_each_distinct_cpe_is_parsed_once(self, monkeypatch):
+        # purdue@400's 800 installed products are 25 distinct CPE strings
+        calls = []
+        parse = netmodel.parse_cpe
+        monkeypatch.setattr(netmodel, "parse_cpe", lambda text: calls.append(text) or parse(text))
+        net_dict, _ = purdue_fixture(hosts=400)
+        net = network_from_dict(net_dict)
+        assert sum(len(host.products) for host in net.hosts) == 800
+        assert len(calls) == len(set(calls)) == 25
+        for host, obj in zip(net.hosts, net_dict["hosts"], strict=True):
+            assert [p.cpe for p in host.products] == [parse(p["cpe"]) for p in obj["products"]]
+
+    @pytest.mark.parametrize("cpe", ["cpe:2.3:a:drupal",  # does not parse
+                                     "cpe:2.3:a:*:drupal:8.6.9:*:*:*:*:*:*:*"])  # no vendor
+    def test_a_bad_cpe_on_two_hosts_fails_where_it_first_appears(self, cpe):
+        data = _motivating_dict()
+        for host in data["hosts"][1:]:
+            host["products"].insert(0, {"cpe": cpe})
+        with pytest.raises(SchemaError) as err:
+            network_from_dict(data)
+        assert err.value.pointer == "/hosts/1/products/0/cpe"
 
 
 _NAMES = ("ghost", "agent", "ROOT", "9x", "bad name", "", "attacker_host", "web_server",

@@ -26,6 +26,7 @@ from chainplan import (
     records_from_dict,
 )
 from chainplan import planner
+from chainplan.analysis import sweep_targets
 from chainplan.netmodel import select_relevant_exploits
 from chainplan.pddlgen import (
     CONNECT_ACTIONS,
@@ -540,7 +541,8 @@ class TestCompletenessCertificate:
         with caplog.at_level("DEBUG", logger="chainplan.planner"):
             plans = find_top_k(task, 10 ** 6)
         assert [r.getMessage() for r in caplog.records] == [
-            "proved complete after 52 expansions with 8 plan(s)"]
+            "proved complete after 52 expansions with 8 plan(s)",
+            "search: 8 plan(s), 52 expansions, 83 pushes"]
         assert {exploit_key(task, p) for p in plans} == brute_force_minimal_sets(task)
 
     def test_a_budget_stop_is_exact_once_proved(self, caplog):
@@ -568,14 +570,15 @@ class TestCompletenessCertificate:
     def test_an_unreachable_goal_stops_before_expanding(self, motivating_task, caplog):
         # db_server ROOT makes exploits relevant, but no action grants
         # web_server ROOT: the empty family is complete, so not even a budget
-        # of one expansion is spent or reported
+        # of one expansion is spent, and no budget stop is reported
         _, _, task = motivating_task
         goal = tuple(frozenset((compromised_atom(host, PrivilegeLevel.ROOT).render(),))
                      for host in ("web_server", "db_server"))
         assert planner._Search(task, goal).complete(()) is True
         with caplog.at_level("DEBUG", logger="chainplan.planner"):
             assert find_top_k(task, 13, max_expansions=1, goal=goal) == []
-        assert caplog.records == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "search: 0 plan(s), 0 expansions, 0 pushes"]
 
 
 class TestSuccessorTable:
@@ -719,14 +722,34 @@ class TestDenseNetwork:
 
     def test_fifty_hosts_keep_their_order_with_few_pushes(self):
         # dense50_order.json holds the 13 plans of the uniform-cost search,
-        # which pushed 396,967 entries and popped 4,567 to find them
+        # which pushed 396,967 entries and popped 4,567 to find them; A* with
+        # every child pushed took 4,410 pushes, and partial expansion 129
         task = self._task(50)
         search = planner._Search(task)
         plans = search.run(13, len(task.actions), 100_000)
         golden = json.loads((Path(__file__).resolve().parent / "golden" / "dense50_order.json")
                             .read_text(encoding="utf-8"))
         assert [list(plan.steps) for plan in plans] == golden
-        assert search.pushes <= 5_000 and search.expansions <= 100
+        assert search.pushes <= 500 and search.expansions <= 100
+
+    def test_the_purdue21_sweep_pushes_few(self, monkeypatch):
+        # its 21 searches pushed 71,411 entries and popped 8,855 with every
+        # child pushed; partial expansion pushes 10,809 and expands 4,922 sets
+        counts = []
+        run = planner._Search.run
+
+        def counted(search, *args):
+            plans = run(search, *args)
+            counts.append((search.pushes, search.expansions))
+            return plans
+
+        monkeypatch.setattr(planner._Search, "run", counted)
+        network, catalog = purdue_fixture(hosts=21)
+        sweep_targets(network_from_dict(network),
+                      ExploitMatrix(tuple(records_from_dict(catalog))), 13)
+        assert len(counts) == 21
+        assert sum(pushes for pushes, _ in counts) <= 15_000
+        assert sum(expansions for _, expansions in counts) <= 8_855
 
     def test_counters_of_a_search_that_never_expands(self, motivating_task):
         _, _, task = motivating_task

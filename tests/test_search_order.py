@@ -10,8 +10,12 @@ level in one search; they stay as orders of ``find_top_k`` on one-atom
 goals. Unless a budget stops it, a search returns the plans the string-set
 search that preceded the interned core returned; a budget stop can fall
 later, and ``test_budget_stops_are_prefixes`` checks that it still returns
-a prefix of the unbudgeted order. The file is written by running this
-module as a script:
+a prefix of the unbudgeted order.
+
+``tests/golden/sweep_order.json`` pins, for ``random_fixture(0..39)``, the
+plans of every host's any-level goal (the clause ``sweep_targets`` asks
+for) at the sweep's k with the default budget, which none of them reaches.
+Both files are written by running this module as a script:
 
     PYTHONPATH=src python tests/test_search_order.py
 """
@@ -32,9 +36,12 @@ from chainplan.analysis import compile_network
 from chainplan.errors import EmptyDomain
 from chainplan.pddlgen import compromised_atom
 from chainplan.synth import purdue_fixture, random_fixture
+from conftest import any_level_goal
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "search_order.json"
+SWEEP_GOLDEN = GOLDEN.with_name("sweep_order.json")
 RANDOM_SEEDS = range(30)
+SWEEP_SEEDS = range(40)
 KS = (1, 13)
 BUDGETS = (1, 25, 100_000)
 SWEEP_K = 13
@@ -75,6 +82,14 @@ def purdue21_sweep_orders() -> dict:
     return out
 
 
+def random_sweep_orders(seed: int) -> dict:
+    net, task = _task(*random_fixture(seed))
+    if task is None:
+        return {}
+    return {host: _steps(find_top_k(task, SWEEP_K, goal=any_level_goal(host)))
+            for host in sorted(net.host_names()) if host != net.scenario.attacker_host}
+
+
 def capture() -> dict:
     return {"random": {str(seed): random_orders(seed) for seed in RANDOM_SEEDS},
             "purdue21_sweep": purdue21_sweep_orders()}
@@ -88,6 +103,16 @@ def golden() -> dict:
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_random_fixture_order(golden, seed):
     assert random_orders(seed) == golden["random"][str(seed)]
+
+
+@pytest.fixture(scope="module")
+def sweep_golden() -> dict:
+    return json.loads(SWEEP_GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_random_fixture_sweep_order(sweep_golden, seed):
+    assert random_sweep_orders(seed) == sweep_golden[str(seed)]
 
 
 def test_budget_stops_are_prefixes():
@@ -116,12 +141,15 @@ def test_purdue21_sweep_order(golden, caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "chainplan.planner"]
     assert not [m for m in messages if "enumeration stopped" in m]
     assert [m for m in messages if m.startswith("proved complete")] == [
-        f"proved complete after {n} expansions with 5 plan(s)" for n in (884, 136, 130, 112)]
+        f"proved complete after {n} expansions with 5 plan(s)" for n in (530, 96, 92, 82)]
     assert [len(orders[f"{host} ROOT"]) for host in
             ("data1", "web_server1", "web_server2", "web_server3")] == [5] * 4
 
 
 if __name__ == "__main__":
-    text = json.dumps(capture(), indent=0, sort_keys=True)
-    GOLDEN.write_text(text + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN} ({len(text)} bytes)", file=sys.stderr)
+    for path, orders in ((GOLDEN, capture()),
+                         (SWEEP_GOLDEN, {str(seed): random_sweep_orders(seed)
+                                         for seed in SWEEP_SEEDS})):
+        text = json.dumps(orders, indent=0, sort_keys=True)
+        path.write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {path} ({len(text)} bytes)", file=sys.stderr)
