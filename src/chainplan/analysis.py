@@ -182,9 +182,11 @@ def sweep_targets(net: NetworkSpec, matrix: ExploitMatrix, k: int,
     """Re-plan once per candidate goal host (every host but the attacker's).
 
     A chain counts when it compromises the target at any privilege level:
-    one search per host (on one shared compile) whose goal is a single
-    clause, the host compromised at LOW, HIGH or ROOT, as an exploit's
-    foothold clause is. Hosts with no chains are reported with a zero
+    one search per host whose goal is a single clause, the host compromised
+    at LOW, HIGH or ROOT, as an exploit's foothold clause is. The searches
+    share one compile and its search index (``PlanningTask.search_index``),
+    so a host the index's reachability fixpoint does not reach reports zero
+    without a search. Hosts with no chains are reported with a zero
     count; results are keyed and ordered by host name. A host's
     ``mean_chain_length`` is the mean exploit count over the plans
     returned, which are the first k in total-length order (connects
@@ -192,12 +194,15 @@ def sweep_targets(net: NetworkSpec, matrix: ExploitMatrix, k: int,
     when the search drains its heap or proves its plans complete (see
     ``find_top_k``); a search that runs out of budget logs a warning, and a
     larger budget may then find more. A host's ``duration_s`` times its
-    search only, not the shared compile.
+    search only, not the shared compile and index, which are built before
+    the first host's search.
     """
     try:
         *_, task = compile_network(net, matrix)
     except EmptyDomain:  # nothing relevant: every host reports zero chains
         task = None
+    else:
+        task.search_index()
     per_host = {}
     for host in sorted(net.host_names()):
         if host == net.scenario.attacker_host:

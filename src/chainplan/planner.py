@@ -69,6 +69,8 @@ class PlanningTask:
     _by_id: dict = field(default_factory=dict, repr=False, compare=False)
     # grounds connect instances that ``ground`` left out; None for a hand-built task
     _resolver: "_ConnectGrounder | None" = field(default=None, repr=False, compare=False)
+    # the search index once built (``search_index``): at most one entry
+    _index: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._by_id:
@@ -85,19 +87,28 @@ class PlanningTask:
 
     def with_goal(self, goal_atoms) -> "PlanningTask":
         """The same task with another goal. Atoms (the universe as grounded),
-        actions, init and the id index are shared, unless the goal names an
-        atom a left-out connect achieves: those connects are added, as a
-        fresh ``ground`` with this goal would keep them."""
+        actions, init, the id index and the search index are shared, unless
+        the goal names an atom a left-out connect achieves: those connects
+        are added, as a fresh ``ground`` with this goal would keep them, and
+        the new task builds its own indexes."""
         goal = frozenset(goal_atoms)
         extra = [] if self._resolver is None else \
             [a for a in self._resolver.achievers(goal) if a.id not in self._by_id]
         if not extra:
-            return replace(self, goal=goal, _by_id=self._by_id)
+            return replace(self, goal=goal, _by_id=self._by_id, _index=self._index)
         universe = set(self.atoms)
         for action in extra:
             universe.update(*action.precondition, action.effects)
-        return replace(self, atoms=tuple(sorted(universe)), goal=goal, _by_id={},
+        return replace(self, atoms=tuple(sorted(universe)), goal=goal, _by_id={}, _index=[],
                        actions=tuple(sorted(self.actions + tuple(extra), key=_action_order)))
+
+    def search_index(self) -> "_SearchIndex":
+        """What every search of this task shares, whatever its goal: built on
+        first use, and kept for the tasks ``with_goal`` derives with the same
+        actions."""
+        if not self._index:
+            self._index.append(_SearchIndex(self))
+        return self._index[0]
 
     @property
     def exploit_actions(self) -> tuple[GroundAction, ...]:
@@ -663,24 +674,175 @@ def _flags(mask: int):
 _HITTING_SET_CAP = 64
 
 
+def _open_clauses(precondition, init) -> tuple[list, list]:
+    """The clauses ``init`` leaves open: the others, and the single
+    connection atoms, which become needs that ``_realize`` meets with a
+    connect."""
+    clauses, conn_needs = [], []
+    for clause in precondition:
+        if not clause.isdisjoint(init):
+            continue
+        if len(clause) == 1 and _is_connected_atom(next(iter(clause))):
+            conn_needs.append(next(iter(clause)))
+        else:
+            clauses.append(clause)
+    return clauses, conn_needs
+
+
+def _connect_achievers(task: PlanningTask, needed: set, mask, rank: dict) -> dict:
+    """Needed atom -> ((rank, clause masks), ...): the connects of ``task``
+    that achieve it, in (name, args) order. A connect with an open clause
+    that ``mask`` gives no bit is left out: no delta satisfies it."""
+    achievers: dict[str, list] = {}
+    for action in sorted((a for a in task.connect_actions if not needed.isdisjoint(a.effects)),
+                         key=_action_order):
+        clauses = tuple(mask(c) for c in action.precondition if c.isdisjoint(task.init))
+        if all(clauses):
+            for effect in needed.intersection(action.effects):
+                achievers.setdefault(effect, []).append((rank[action.id], clauses))
+    return {atom: tuple(chain) for atom, chain in achievers.items()}
+
+
+def _realize(clauses, needs, delta: int):
+    """Connect insertions + applicability for one exploit in one state.
+
+    Returns (inserted ranks, added atom mask) or None when inapplicable.
+    """
+    for clause in clauses:
+        if not clause & delta:
+            return None
+    inserts = ()
+    added = 0
+    for need, achievers in needs:
+        if need & (delta | added):
+            continue
+        for step, clauses in achievers:
+            if all(c & delta for c in clauses):
+                break
+        else:
+            return None
+        inserts += (step,)
+        added |= need
+    return inserts, added
+
+
+class _SearchIndex:
+    """The half of a search that does not depend on the goal, built once per
+    task (``PlanningTask.search_index``) and read by every goal's ``_Search``.
+
+    Every exploit of the task is prepared, in (name, args) order: the
+    clauses init leaves open as masks, its connection needs with the
+    connects that achieve them, and its effects outside init as a mask. The
+    atoms that can enter a delta (the exploits' clause atoms, needs and
+    effects) each get a bit. A step is the action's rank in the id order of
+    all the task's actions; a search that holds a subset of them orders and
+    tie-breaks its heap entries as their id strings would. ``reached`` is
+    the delta of one delete-free fixpoint over every exploit (Ou,
+    Govindavajhala & Appel, USENIX Security 2005): a goal it does not
+    satisfy has no plan.
+    """
+
+    def __init__(self, task: PlanningTask):
+        init = task.init
+        position = self.position = {}  # atom -> its bit
+
+        def bits(atoms) -> int:  # a new atom gets the next bit
+            out = 0
+            for atom in atoms:
+                out |= 1 << position.setdefault(atom, len(position))
+            return out
+
+        exploits = []  # (id, clause masks, ((need mask, atom), ...), effect mask)
+        for action in sorted(task.exploit_actions, key=_action_order):
+            clauses, conn_needs = _open_clauses(action.precondition, init)
+            exploits.append((action.id, tuple([bits(c) for c in clauses]),
+                             tuple([(bits((atom,)), atom) for atom in conn_needs]),
+                             bits([e for e in action.effects if e not in init])))
+        self.ids = sorted(action.id for action in task.actions)
+        rank = {action_id: r for r, action_id in enumerate(self.ids)}
+        needed = {atom for _, _, conn_needs, _ in exploits for _, atom in conn_needs}
+        self.achievers = _connect_achievers(task, needed, self.mask, rank)
+
+        self.prepared = []  # (rank, clause masks, ((need mask, achievers), ...), effects)
+        self.support = []  # per prepared exploit: the delta bits its step reads
+        self.always = 0  # exploits with no clause to gate on
+        self.by_gate = [0] * len(position)  # bit -> exploits whose first clause holds it
+        for index, (action_id, clauses, conn_needs, effects) in enumerate(exploits):
+            needs = tuple([(need, self.achievers.get(atom, ())) for need, atom in conn_needs])
+            self.prepared.append((rank[action_id], clauses, needs, effects))
+            support = effects
+            for clause in clauses:
+                support |= clause
+            for need, chain in needs:
+                support |= need
+                for _, achiever_clauses in chain:
+                    for clause in achiever_clauses:
+                        support |= clause
+            self.support.append(support)
+            if not clauses:
+                self.always |= 1 << index
+            for flag in _flags(clauses[0] if clauses else 0):
+                self.by_gate[flag.bit_length() - 1] |= 1 << index
+        self.reached = self.closure((1 << len(self.prepared)) - 1)
+
+    def mask(self, atoms) -> int:
+        """The bits of ``atoms``: one without a bit never enters a delta, so
+        it adds nothing."""
+        out = 0
+        for atom in atoms:
+            if atom in self.position:
+                out |= 1 << self.position[atom]
+        return out
+
+    def closure(self, allowed: int) -> int:
+        """The delta that the prepared exploits in ``allowed``, a mask, reach
+        from init: one delete-free fixpoint under the search's applicability
+        and connect rules. Each pass tries only the exploits whose first
+        clause the delta gates (``by_gate``), as ``_Search.run`` does."""
+        prepared, by_gate = self.prepared, self.by_gate
+        delta = gated = 0  # the delta's bits whose exploits are in ``candidates``
+        candidates = self.always
+        grown = True
+        while grown:
+            grown = False
+            fresh = delta & ~gated
+            gated = delta
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                candidates |= by_gate[low.bit_length() - 1]
+            rest = allowed & candidates
+            while rest:
+                flag = rest & -rest
+                rest ^= flag
+                _, clauses, needs, effects = prepared[flag.bit_length() - 1]
+                realized = _realize(clauses, needs, delta)
+                if realized is not None:
+                    delta |= realized[1] | effects
+                    allowed ^= flag
+                    grown = True
+        return delta
+
+
 class _Search:
-    """A* enumeration of minimal plans over exploit-action sets.
+    """A* enumeration of minimal plans over exploit-action sets: one goal's
+    view of its task's ``_SearchIndex``.
 
     Connect actions are pure enablers (their only effect is a connection
     atom), so the search branches on exploit actions and inserts the
     lexicographically first applicable connect step whenever a connection
     atom an exploit or the goal needs is missing. States are tracked as
-    deltas over init. Only goal-relevant exploits are branched on; anything
-    else cannot occur in a minimal plan. The goal is a CNF and is prepared
-    as an exploit's precondition is.
+    deltas over init. Only goal-relevant exploits are branched on (the
+    ``relevant`` mask); anything else cannot occur in a minimal plan. The
+    goal is a CNF and is prepared as an exploit's precondition is; goal
+    atoms without an index bit get bits after the index's.
 
-    The search runs on ints. The atoms that can enter a delta (the goal's,
-    and the clause atoms, connection needs and effects of the relevant
-    exploits) each get a bit, so a delta and a clause are masks; an
-    exploit set is a mask over the prepared exploits. Init atoms need no
-    bit: clauses that init satisfies are dropped. A step is the action's
-    rank in the id order of the actions a plan can hold, so heap entries
-    order and tie-break exactly as their id strings would.
+    The search runs on ints: a delta and a clause are masks over the
+    index's atom bits, and an exploit set is a mask over its prepared
+    exploits. Init atoms need no bit: clauses that init satisfies are
+    dropped. A goal that the index's ``reached`` delta does not satisfy is
+    unreachable: its view skips the relevance closure and the distances,
+    and ``run`` returns no plan without expanding anything.
 
     ``run`` memoizes each exploit's step in a successor table keyed by
     ``delta & support``, the only bits the step reads; a hit is the child
@@ -712,88 +874,42 @@ class _Search:
             goal = tuple(frozenset((atom,)) for atom in sorted(task.goal))
         else:  # with any connect a goal atom needs that grounding left out
             task = task.with_goal(frozenset().union(*goal))
-        init = task.init
-        relevant = _relevant_action_ids(task, goal)
+        index = self.index = task.search_index()
+        self.prepared, self.support, self.by_gate, self.ids = (
+            index.prepared, index.support, index.by_gate, index.ids)
 
-        def prepare(precondition):
-            # the clauses init leaves open: masks, and single connection atoms,
-            # which become needs that ``realize`` meets with a connect
-            clauses, conn_needs = [], []
-            for clause in precondition:
-                if not clause.isdisjoint(init):
-                    continue
-                if len(clause) == 1 and _is_connected_atom(next(iter(clause))):
-                    conn_needs.append(next(iter(clause)))
-                else:
-                    clauses.append(clause)
-            return clauses, conn_needs
-
-        goal_clauses, goal_conns = prepare(goal)
-        exploits = []  # (id, clauses, connection needs, effects), as atoms
-        for action in sorted(task.exploit_actions, key=lambda a: (a.name, a.args)):
-            if action.id in relevant:
-                effects = [e for e in action.effects if e not in init]
-                exploits.append((action.id, *prepare(action.precondition), effects))
-
-        position: dict[str, int] = {}  # atom -> its bit
-        for _, clauses, conn_needs, effects in [("goal", goal_clauses, goal_conns, ()),
-                                                 *exploits]:
-            for atom in itertools.chain(*clauses, conn_needs, effects):
-                position.setdefault(atom, len(position))
+        goal_clauses, goal_conns = _open_clauses(goal, task.init)
+        extra: dict[str, int] = {}  # goal atom without an index bit -> its bit
+        for atom in itertools.chain(*goal_clauses, goal_conns):
+            if atom not in index.position:
+                extra.setdefault(atom, len(index.position) + len(extra))
 
         def mask(atoms) -> int:
-            # an atom without a bit never enters a delta, so it adds nothing
-            out = 0
+            out = index.mask(atoms)
             for atom in atoms:
-                if atom in position:
-                    out |= 1 << position[atom]
+                if atom in extra:
+                    out |= 1 << extra[atom]
             return out
 
-        needed = {atom for _, _, conn_needs, _ in exploits for atom in conn_needs}
-        needed.update(goal_conns)
-        achievers: dict[str, list] = {}  # needed atom -> [(id, clause masks)]
-        for action in sorted((a for a in task.connect_actions
-                              if not needed.isdisjoint(a.effects)),
-                             key=lambda a: (a.name, a.args)):
-            clauses = tuple(mask(c) for c in action.precondition if c.isdisjoint(init))
-            if all(clauses):  # an empty mask is a clause no delta satisfies
-                for effect in needed.intersection(action.effects):
-                    achievers.setdefault(effect, []).append((action.id, clauses))
-
+        # a goal need that no exploit has: its achievers, as the index finds them
+        missing = {atom for atom in goal_conns if atom not in index.achievers}
+        found = _connect_achievers(task, missing, mask, {
+            action_id: r for r, action_id in enumerate(self.ids)}) if missing else {}
         self.goal = tuple(mask(c) for c in goal_clauses)
-        self.ids = sorted({e[0] for e in exploits}
-                          | {c[0] for chain in achievers.values() for c in chain})
-        rank = {action_id: r for r, action_id in enumerate(self.ids)}
-
-        def needs_of(atoms) -> tuple:
-            return tuple((mask((atom,)),
-                          tuple((rank[c], cc) for c, cc in achievers.get(atom, ())))
-                         for atom in atoms)
-
-        self.goal_needs = needs_of(goal_conns)
-        self.prepared = []  # (rank, clause masks, ((need mask, achievers), ...), effects)
-        self.support = []  # per prepared exploit: the delta bits its step reads
-        self.always = 0  # exploits with no clause to gate on
-        self.by_gate = [0] * len(position)  # bit -> exploits whose first clause holds it
-        for index, (action_id, clauses, conn_needs, effects) in enumerate(exploits):
-            clause_masks = tuple(mask(c) for c in clauses)
-            needs = needs_of(conn_needs)
-            effect_mask = mask(effects)
-            self.prepared.append((rank[action_id], clause_masks, needs, effect_mask))
-            support = effect_mask
-            for clause in clause_masks:
-                support |= clause
-            for need, chain in needs:
-                support |= need
-                for _, achiever_clauses in chain:
-                    for clause in achiever_clauses:
-                        support |= clause
-            self.support.append(support)
-            if not clauses:
-                self.always |= 1 << index
-            for atom in clauses[0] if clauses else ():
-                self.by_gate[position[atom]] |= 1 << index
-        self.dist = self._distances(len(position))
+        self.goal_needs = tuple((mask((atom,)), index.achievers.get(atom) or found.get(atom, ()))
+                                for atom in goal_conns)
+        width = len(index.position) + len(extra)
+        self.reachable = self.finish(index.reached) is not None
+        if not self.reachable:  # no plan: the search never runs
+            self.relevant = self.always = 0
+            self.dist = [0] * (width + 1)
+            return
+        relevant = _relevant_action_ids(task, goal)
+        # the relevant prepared exploits as a mask, highest index first
+        self.relevant = int("0" + "".join(["1" if self.ids[p[0]] in relevant else "0"
+                                           for p in reversed(self.prepared)]), 2)
+        self.always = index.always & self.relevant
+        self.dist = self._distances(width)
 
     def _distances(self, width: int) -> list:
         """Per bit, plus a root slot at ``width``: a lower bound on the steps
@@ -803,9 +919,10 @@ class _Search:
         from each bit that can enable an exploit (any clause or need bit) to
         each of its effects, weight 1, and from each clause bit of a connect
         to the need it meets, weight 0: the goal's needs as well as the
-        exploits', added once per need. The root stands in for an exploit or
-        connect with no open clause. The bound is the path relaxation behind
-        h_max (Bonet & Geffner, AIJ 2001).
+        exploits', added once per need. Only the relevant exploits are
+        walked. The root stands in for an exploit or connect with no open
+        clause. The bound is the path relaxation behind h_max (Bonet &
+        Geffner, AIJ 2001).
         """
         root = width
         if self.finish(0) is not None:
@@ -819,7 +936,8 @@ class _Search:
         items, by_target = [], [[] for _ in range(width + 1)]  # the root is no target
         # need bit -> its achievers, so a need's edges are added once
         chains = {need.bit_length() - 1: chain for need, chain in self.goal_needs}
-        for _, clause_masks, needs, effects in self.prepared:
+        for flag in _flags(self.relevant):
+            _, clause_masks, needs, effects = self.prepared[flag.bit_length() - 1]
             sources = bits(clause_masks)
             for need, chain in needs:
                 sources.append(need.bit_length() - 1)
@@ -855,29 +973,6 @@ class _Search:
             level, d = later, d + 1
         return dist
 
-    @staticmethod
-    def realize(clauses, needs, delta: int):
-        """Connect insertions + applicability for one exploit in one state.
-
-        Returns (inserted ranks, added atom mask) or None when inapplicable.
-        """
-        for clause in clauses:
-            if not clause & delta:
-                return None
-        inserts = ()
-        added = 0
-        for need, achievers in needs:
-            if need & (delta | added):
-                continue
-            for step, clauses in achievers:
-                if all(c & delta for c in clauses):
-                    break
-            else:
-                return None
-            inserts += (step,)
-            added |= need
-        return inserts, added
-
     def successor(self, index: int, delta: int):
         """(steps appended, atoms added, least ``dist`` over the atoms added)
         when prepared exploit ``index`` is taken in ``delta``, or None when it
@@ -886,7 +981,7 @@ class _Search:
         step, clauses, needs, effects = self.prepared[index]
         if effects & delta == effects:
             return None
-        realized = self.realize(clauses, needs, delta)
+        realized = _realize(clauses, needs, delta)
         if realized is None:
             return None
         inserts, added = realized
@@ -898,28 +993,12 @@ class _Search:
         """The goal test: (inserted ranks, added atom mask) that complete the
         goal in this state, connects inserted as ``realize`` inserts them,
         or None when the goal does not hold."""
-        return self.realize(self.goal, self.goal_needs, delta)
+        return _realize(self.goal, self.goal_needs, delta)
 
     def reaches(self, allowed: int) -> bool:
         """Whether the goal can be reached with only the prepared exploits in
-        ``allowed``, a mask: one delete-free fixpoint under the search's
-        applicability and connect rules."""
-        prepared, realize = self.prepared, self.realize
-        delta = 0
-        grown = True
-        while grown:
-            grown = False
-            rest = allowed
-            while rest:
-                flag = rest & -rest
-                rest ^= flag
-                _, clauses, needs, effects = prepared[flag.bit_length() - 1]
-                realized = realize(clauses, needs, delta)
-                if realized is not None:
-                    delta |= realized[1] | effects
-                    allowed ^= flag
-                    grown = True
-        return self.finish(delta) is not None
+        ``allowed``, a mask (``_SearchIndex.closure``)."""
+        return self.finish(self.index.closure(allowed)) is not None
 
     def complete(self, recorded) -> bool | None:
         """Whether the exploit sets in ``recorded`` (masks over the prepared
@@ -947,8 +1026,7 @@ class _Search:
             hitting = kept + grown
             if len(hitting) > _HITTING_SET_CAP:
                 return None
-        every = (1 << len(self.prepared)) - 1
-        return not any(self.reaches(every & ~h) for h in hitting)
+        return not any(self.reaches(self.relevant & ~h) for h in hitting)
 
     def _proved(self, recorded, expansions: int) -> bool:
         if self.complete(recorded) is not True:
@@ -961,12 +1039,10 @@ class _Search:
         """Up to ``k`` minimal plans of at most ``max_len`` steps, in order,
         after at most ``max_expansions`` exploit sets expanded."""
         self.expansions = self.pushes = 0
-        # the certificate of the empty family: no plan unless the goal is
-        # reachable at all (``complete`` rather than ``_proved``, which logs)
-        if self.complete(()):
+        if not self.reachable:
             return []
-        by_gate, support, successor, finish = (self.by_gate, self.support, self.successor,
-                                               self.finish)
+        by_gate, support, successor, finish, relevant = (
+            self.by_gate, self.support, self.successor, self.finish, self.relevant)
         # successor table: per exploit, delta & support -> successor(...)
         tables = [{} for _ in support]
         plans: list[Plan] = []
@@ -1019,7 +1095,7 @@ class _Search:
                     low = gates & -gates
                     candidates |= by_gate[low.bit_length() - 1]
                     gates ^= low
-                candidates &= ~exploit_set
+                candidates &= relevant & ~exploit_set
             else:
                 h, candidates = deferred
             # what each recorded exploit set adds to this one: a child, one
@@ -1084,6 +1160,12 @@ def find_top_k(task: PlanningTask, k: int, max_len: int | None = None,
     search reaches their keys, so children that would never pop are never
     pushed. One DEBUG line on ``chainplan.planner`` gives the plans,
     expansions and pushes of the search.
+
+    The goal-independent set-up (prepared exploits, atom bits and one
+    reachability fixpoint) is the task's ``search_index``, built on the
+    first search and shared by every later one on the task or on a
+    ``with_goal`` of it. A goal that fixpoint does not reach returns no plan
+    without a relevance closure or a search.
 
     ``max_len`` bounds total plan length (default: the number of grounded
     actions: ~9.5k on ``purdue_fixture(hosts=400)``, as grounding keeps only

@@ -26,7 +26,8 @@ from chainplan import (
     records_from_dict,
 )
 from chainplan import planner
-from chainplan.analysis import sweep_targets
+from chainplan import cli
+from chainplan.analysis import privilege_sensitivity, sweep_targets
 from chainplan.netmodel import select_relevant_exploits
 from chainplan.pddlgen import (
     CONNECT_ACTIONS,
@@ -47,7 +48,7 @@ from chainplan.planner import (
     match_plan,
     run_external,
 )
-from chainplan.synth import dense_fixture, purdue_fixture
+from chainplan.synth import dense_fixture, purdue_fixture, random_fixture
 from chainplan.errors import (
     ArityMismatch,
     InvalidExternalPlan,
@@ -285,6 +286,7 @@ class TestWithGoal:
         assert swapped.init is task.init
         assert swapped._by_id is task._by_id
         assert swapped.atoms is task.atoms
+        assert swapped.search_index() is task.search_index()
         assert task.goal == {"(is_compromised db_server agent ROOT_PRIVILEGES)"}
 
     @pytest.mark.parametrize("seed", range(8))
@@ -309,6 +311,7 @@ class TestWithGoal:
         full = naive_ground_all(domain, problem)
         left_out = sorted(set(full) - {a.id for a in task.actions})
         assert left_out
+        shared = task.search_index()
         for action_id in left_out:
             goal = task.action(action_id).effects[0]
             name, *args = goal[1:-1].split(" ")
@@ -317,8 +320,56 @@ class TestWithGoal:
             assert action_id in {a.id for a in swapped.actions}
             assert swapped.actions == fresh.actions
             assert swapped.goal == fresh.goal
+            # the task's index holds only its own actions: the added
+            # connects need an index of their own
+            assert swapped.search_index() is not shared
+            assert swapped.search_index().ids == fresh.search_index().ids
             assert find_top_k(swapped, 20) == find_top_k(fresh, 20) \
                 == find_top_k(task, 20, goal=(frozenset({goal}),))
+        assert task.search_index() is shared
+
+
+class TestSearchIndexSharing:
+    """One search index per compiled task: every goal of a sweep reads the
+    same one, and each of sensitivity's three compiles builds its own."""
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        builds = []
+        build = planner._SearchIndex.__init__
+
+        def counted(index, task):
+            builds.append(task)
+            build(index, task)
+
+        monkeypatch.setattr(planner._SearchIndex, "__init__", counted)
+        return builds
+
+    @staticmethod
+    def _purdue21():
+        network, catalog = purdue_fixture(hosts=21)
+        return network_from_dict(network), ExploitMatrix(tuple(records_from_dict(catalog)))
+
+    def test_a_sweep_builds_one(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        assert sweep_targets(*self._purdue21(), 13).total == 163
+        assert len(builds) == 1
+
+    def test_sensitivity_builds_one_per_compile(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        privilege_sensitivity(*self._purdue21(), 13)
+        assert len(builds) == 3
+
+    def test_plan_builds_one(self, monkeypatch, tmp_path, capsys):
+        network, catalog = purdue_fixture(hosts=21)
+        paths = []
+        for name, data in (("network", network), ("catalog", catalog)):
+            paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+            (tmp_path / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+        builds = self._count_builds(monkeypatch)
+        assert cli.main(["plan", "--k", "13", "--format", "json", "--no-meta", *paths]) == 0
+        assert len(json.loads(capsys.readouterr().out)["chains"]) == 13
+        assert len(builds) == 1
 
 
 class TestApply:
@@ -624,8 +675,8 @@ class TestSuccessorTable:
                 for density in (0.25, 0.5, 0.75) * 20:
                     delta = sum(1 << bit for bit in range(width) if rng.random() < density)
                     key = delta & support
-                    assert planner._Search.realize(clauses, needs, delta) \
-                        == planner._Search.realize(clauses, needs, key)
+                    assert planner._realize(clauses, needs, delta) \
+                        == planner._realize(clauses, needs, key)
                     assert (effects & delta == effects) == (effects & key == effects)
                     successor = search.successor(index, delta)
                     assert successor == search.successor(index, key)
@@ -735,21 +786,30 @@ class TestDenseNetwork:
     def test_the_purdue21_sweep_pushes_few(self, monkeypatch):
         # its 21 searches pushed 71,411 entries and popped 8,855 with every
         # child pushed; partial expansion pushes 10,809 and expands 4,922 sets
+        # and its completeness checks make 39 ``reaches`` calls; each search
+        # opening with its own reachability test made 60
         counts = []
-        run = planner._Search.run
+        reaches = []
+        run, reach = planner._Search.run, planner._Search.reaches
 
         def counted(search, *args):
             plans = run(search, *args)
             counts.append((search.pushes, search.expansions))
             return plans
 
+        def counted_reach(search, allowed):
+            reaches.append(allowed)
+            return reach(search, allowed)
+
         monkeypatch.setattr(planner._Search, "run", counted)
+        monkeypatch.setattr(planner._Search, "reaches", counted_reach)
         network, catalog = purdue_fixture(hosts=21)
         sweep_targets(network_from_dict(network),
                       ExploitMatrix(tuple(records_from_dict(catalog))), 13)
         assert len(counts) == 21
         assert sum(pushes for pushes, _ in counts) <= 15_000
         assert sum(expansions for _, expansions in counts) <= 8_855
+        assert len(reaches) <= 39
 
     def test_counters_of_a_search_that_never_expands(self, motivating_task):
         _, _, task = motivating_task
@@ -777,10 +837,19 @@ def _relevant_by_passes(task, goal):
     return relevant_ids
 
 
+# the fixtures the shared reachability fixpoint is checked on
+_FIXTURES = {"purdue": lambda hosts: purdue_fixture(hosts=hosts), "random": random_fixture,
+             "dense": dense_fixture}
+_FIXTURE_SIZES = ([("purdue", hosts) for hosts in (21, 40, 80, 200)]
+                  + [("random", seed) for seed in range(40)]
+                  + [("dense", hosts) for hosts in range(6, 21)])
+
+
 class TestSearchSetUp:
     """The worklist relevance closure returns what a repeated-pass fixpoint
-    does, and the search's up-front reachability test (the certificate of
-    the empty family) agrees with the oracle's saturation."""
+    does, and the task's shared reachability fixpoint agrees with the
+    oracle's saturation and with each goal's own fixpoint over its relevant
+    exploits."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_repeated_passes(self, seed):
@@ -797,6 +866,31 @@ class TestSearchSetUp:
                     _relevant_by_passes(task, goal)
                 unreachable = any(reached.isdisjoint(clause) for clause in goal)
                 assert planner._Search(task, goal).complete(()) is unreachable, (host, goal)
+
+    @pytest.mark.parametrize("kind,size", _FIXTURE_SIZES)
+    def test_the_shared_fixpoint_agrees(self, kind, size):
+        network, catalog = _FIXTURES[kind](size)
+        net = network_from_dict(network)
+        matrix = ExploitMatrix(tuple(records_from_dict(catalog)))
+        if not select_relevant_exploits(net, matrix).relevant:
+            pytest.skip("nothing relevant")
+        _, _, task = build_task(net, matrix)
+        reached = saturate(task.init, task.actions)
+        index = task.search_index()
+        reachable = 0
+        for host in sorted(net.host_names()):
+            low, root = (compromised_atom(host, level).render()
+                         for level in (PrivilegeLevel.LOW, PrivilegeLevel.ROOT))
+            for goal in ([frozenset({low})], [frozenset({root})], any_level_goal(host)):
+                search = planner._Search(task, goal)
+                assert search.index is index
+                relevant = planner._relevant_action_ids(task, goal)
+                own = sum(1 << i for i, prepared in enumerate(index.prepared)
+                          if index.ids[prepared[0]] in relevant)
+                expected = not any(reached.isdisjoint(clause) for clause in goal)
+                assert search.reachable is expected is search.reaches(own), (host, goal)
+                reachable += expected
+        assert reachable > 0
 
 
 class TestCheckPlan:
