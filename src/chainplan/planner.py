@@ -630,34 +630,6 @@ def check_plan(task: PlanningTask, plan: Plan) -> PlanCheck:
 
 # --- search --------------------------------------------------------------------
 
-def _relevant_action_ids(task: PlanningTask, goal) -> set:
-    """Backward relevance closure from the atoms of ``goal``, a CNF.
-
-    An action outside the closure cannot contribute to any goal derivation,
-    so a minimal plan never contains it; restricting enumeration to the
-    closure is lossless for minimal-plan enumeration. One worklist pass over
-    an atom -> achievers index.
-    """
-    achievers: dict[str, list[int]] = {}
-    for index, action in enumerate(task.actions):
-        for effect in action.effects:
-            achievers.setdefault(effect, []).append(index)
-    relevant_atoms = set().union(*goal)
-    pending = list(relevant_atoms)
-    relevant: set[int] = set()
-    while pending:
-        for index in achievers.get(pending.pop(), ()):
-            if index in relevant:
-                continue
-            relevant.add(index)
-            for clause in task.actions[index].precondition:
-                for atom in clause:
-                    if atom not in relevant_atoms:
-                        relevant_atoms.add(atom)
-                        pending.append(atom)
-    return {task.actions[index].id for index in relevant}
-
-
 def _flags(mask: int):
     """The set bits of ``mask``, lowest first, each as a one-bit int."""
     while mask:
@@ -739,7 +711,8 @@ class _SearchIndex:
     tie-breaks its heap entries as their id strings would. ``reached`` is
     the delta of one delete-free fixpoint over every exploit (Ou,
     Govindavajhala & Appel, USENIX Security 2005): a goal it does not
-    satisfy has no plan.
+    satisfy has no plan. ``by_effect`` and ``achievers`` (keyed by need bit)
+    are the backward edges each goal's ``_Search._backward_pass`` walks.
     """
 
     def __init__(self, task: PlanningTask):
@@ -761,14 +734,20 @@ class _SearchIndex:
         self.ids = sorted(action.id for action in task.actions)
         rank = {action_id: r for r, action_id in enumerate(self.ids)}
         needed = {atom for _, _, conn_needs, _ in exploits for _, atom in conn_needs}
-        self.achievers = _connect_achievers(task, needed, self.mask, rank)
+        # need bit -> the connects that achieve it
+        self.achievers = {position[atom]: chain for atom, chain in
+                          _connect_achievers(task, needed, self.mask, rank).items()}
 
         self.prepared = []  # (rank, clause masks, ((need mask, achievers), ...), effects)
         self.support = []  # per prepared exploit: the delta bits its step reads
         self.always = 0  # exploits with no clause to gate on
         self.by_gate = [0] * len(position)  # bit -> exploits whose first clause holds it
+        # bit -> the exploits whose effects hold it, as index lists: one mask
+        # per bit as wide as every exploit would cost megabytes on purdue@400
+        self.by_effect = {}
         for index, (action_id, clauses, conn_needs, effects) in enumerate(exploits):
-            needs = tuple([(need, self.achievers.get(atom, ())) for need, atom in conn_needs])
+            needs = tuple([(need, self.achievers.get(position[atom], ()))
+                           for need, atom in conn_needs])
             self.prepared.append((rank[action_id], clauses, needs, effects))
             support = effects
             for clause in clauses:
@@ -783,6 +762,8 @@ class _SearchIndex:
                 self.always |= 1 << index
             for flag in _flags(clauses[0] if clauses else 0):
                 self.by_gate[flag.bit_length() - 1] |= 1 << index
+            for flag in _flags(effects):
+                self.by_effect.setdefault(flag.bit_length() - 1, []).append(index)
         self.reached = self.closure((1 << len(self.prepared)) - 1)
 
     def mask(self, atoms) -> int:
@@ -833,16 +814,18 @@ class _Search:
     lexicographically first applicable connect step whenever a connection
     atom an exploit or the goal needs is missing. States are tracked as
     deltas over init. Only goal-relevant exploits are branched on (the
-    ``relevant`` mask); anything else cannot occur in a minimal plan. The
-    goal is a CNF and is prepared as an exploit's precondition is; goal
-    atoms without an index bit get bits after the index's.
+    ``relevant`` mask, which ``_backward_pass`` finds with the distances);
+    anything else cannot occur in a minimal plan. The goal is a CNF and is
+    prepared as an exploit's precondition is; goal atoms without an index
+    bit get bits after the index's. A goal that holds with connects alone
+    (``finish(0)``) needs no exploit, so its view skips the backward pass.
 
     The search runs on ints: a delta and a clause are masks over the
     index's atom bits, and an exploit set is a mask over its prepared
     exploits. Init atoms need no bit: clauses that init satisfies are
     dropped. A goal that the index's ``reached`` delta does not satisfy is
-    unreachable: its view skips the relevance closure and the distances,
-    and ``run`` returns no plan without expanding anything.
+    unreachable: its view skips the backward pass, and ``run`` returns no
+    plan without expanding anything.
 
     ``run`` memoizes each exploit's step in a successor table keyed by
     ``delta & support``, the only bits the step reads; a hit is the child
@@ -892,86 +875,76 @@ class _Search:
             return out
 
         # a goal need that no exploit has: its achievers, as the index finds them
-        missing = {atom for atom in goal_conns if atom not in index.achievers}
+        needs = [(mask((atom,)), atom) for atom in goal_conns]
+        missing = {atom for need, atom in needs if need.bit_length() - 1 not in index.achievers}
         found = _connect_achievers(task, missing, mask, {
             action_id: r for r, action_id in enumerate(self.ids)}) if missing else {}
         self.goal = tuple(mask(c) for c in goal_clauses)
-        self.goal_needs = tuple((mask((atom,)), index.achievers.get(atom) or found.get(atom, ()))
-                                for atom in goal_conns)
+        self.goal_needs = tuple((need, index.achievers.get(need.bit_length() - 1)
+                                 or found.get(atom, ())) for need, atom in needs)
         width = len(index.position) + len(extra)
         self.reachable = self.finish(index.reached) is not None
-        if not self.reachable:  # no plan: the search never runs
+        if not self.reachable or self.finish(0) is not None:
+            # no plan, or one without exploits: the search never expands
             self.relevant = self.always = 0
             self.dist = [0] * (width + 1)
             return
-        relevant = _relevant_action_ids(task, goal)
-        # the relevant prepared exploits as a mask, highest index first
-        self.relevant = int("0" + "".join(["1" if self.ids[p[0]] in relevant else "0"
-                                           for p in reversed(self.prepared)]), 2)
+        self.relevant, self.dist = self._backward_pass(width)
         self.always = index.always & self.relevant
-        self.dist = self._distances(width)
 
-    def _distances(self, width: int) -> list:
-        """Per bit, plus a root slot at ``width``: a lower bound on the steps
-        left to the goal from a state that holds the bit's atom.
+    def _backward_pass(self, width: int) -> tuple[int, list]:
+        """(relevant, dist): the exploits that can occur in a minimal plan, as
+        a mask, and per bit, plus a root slot at ``width``, a lower bound on
+        the steps left to the goal from a state that holds the bit's atom.
 
-        One backward 0-1 BFS from the goal's clause and need bits, over edges
-        from each bit that can enable an exploit (any clause or need bit) to
-        each of its effects, weight 1, and from each clause bit of a connect
-        to the need it meets, weight 0: the goal's needs as well as the
-        exploits', added once per need. Only the relevant exploits are
-        walked. The root stands in for an exploit or connect with no open
-        clause. The bound is the path relaxation behind h_max (Bonet &
+        One backward 0-1 BFS over the index's bits from the goal's clause and
+        need bits, at distance 0. When an effect bit is reached at d, each
+        exploit that adds it (``by_effect``) and was not reached before
+        becomes relevant, and its clause and need bits get d + 1; one with no
+        open clause gives d + 1 to the root. When a need bit is reached at d,
+        the clause bits of the connects that meet it get d (the root, for a
+        connect with no open clause). So an exploit is relevant exactly when
+        one of its effect bits has a finite ``dist``. An exploit left out
+        adds only atoms that no goal derivation needs, so a minimal plan
+        never holds it. The bound is the path relaxation behind h_max (Bonet &
         Geffner, AIJ 2001).
         """
+        prepared, by_effect, achievers = self.prepared, self.index.by_effect, self.index.achievers
         root = width
-        if self.finish(0) is not None:
-            return [0] * (width + 1)
+        chains = {need.bit_length() - 1: chain for need, chain in self.goal_needs}
 
         def bits(masks) -> list:
-            out = [m.bit_length() - 1 for mask in masks for m in _flags(mask)]
-            return out or [root]
+            return [m.bit_length() - 1 for mask in masks for m in _flags(mask)]
 
-        # items: (weight, the bits that enable it); by_target: bit -> items
-        items, by_target = [], [[] for _ in range(width + 1)]  # the root is no target
-        # need bit -> its achievers, so a need's edges are added once
-        chains = {need.bit_length() - 1: chain for need, chain in self.goal_needs}
-        for flag in _flags(self.relevant):
-            _, clause_masks, needs, effects = self.prepared[flag.bit_length() - 1]
-            sources = bits(clause_masks)
-            for need, chain in needs:
-                sources.append(need.bit_length() - 1)
-                chains[sources[-1]] = chain
-            for flag in _flags(effects):
-                by_target[flag.bit_length() - 1].append(len(items))
-            items.append((1, sources))
-        for bit, chain in chains.items():
-            for _, achiever_clauses in chain:
-                by_target[bit].append(len(items))
-                items.append((0, bits(achiever_clauses)))
-        done = [False] * len(items)
+        seen = bytearray(len(prepared) // 8 + 1)  # the reached exploits, bit e % 8 of byte e // 8
         dist = [float("inf")] * (width + 1)
-        level = [flag.bit_length() - 1 for mask in self.goal for flag in _flags(mask)]
-        level += [need.bit_length() - 1 for need, _ in self.goal_needs]
-        for bit in level:
-            dist[bit] = 0
+        level = []
+        for bit in bits(self.goal) + list(chains):
+            if dist[bit]:  # once: goal clauses can share a bit
+                dist[bit] = 0
+                level.append(bit)
         d = 0
         while level:
             later = []
             for bit in level:  # grows while it is walked: weight-0 edges stay on it
                 if dist[bit] != d:
-                    continue
-                for item in by_target[bit]:
-                    if done[item]:
+                    continue  # each bit is walked once, at its least distance
+                for _, clauses in chains.get(bit) or achievers.get(bit, ()):
+                    for source in bits(clauses) or [root]:
+                        if d < dist[source]:
+                            dist[source] = d
+                            level.append(source)
+                for e in by_effect.get(bit, ()):
+                    if seen[e >> 3] >> (e & 7) & 1:
                         continue
-                    done[item] = True  # first reached at its least distance
-                    weight, sources = items[item]
-                    for source in sources:
-                        if d + weight < dist[source]:
-                            dist[source] = d + weight
-                            (later if weight else level).append(source)
+                    seen[e >> 3] |= 1 << (e & 7)
+                    _, clauses, needs, _ = prepared[e]
+                    for source in (bits(clauses) or [root]) + bits(need for need, _ in needs):
+                        if d + 1 < dist[source]:
+                            dist[source] = d + 1
+                            later.append(source)
             level, d = later, d + 1
-        return dist
+        return int.from_bytes(seen, "little"), dist
 
     def successor(self, index: int, delta: int):
         """(steps appended, atoms added, least ``dist`` over the atoms added)
@@ -1165,7 +1138,8 @@ def find_top_k(task: PlanningTask, k: int, max_len: int | None = None,
     reachability fixpoint) is the task's ``search_index``, built on the
     first search and shared by every later one on the task or on a
     ``with_goal`` of it. A goal that fixpoint does not reach returns no plan
-    without a relevance closure or a search.
+    without a search. For any other goal one backward pass over the index
+    gives both the lower bound and the exploits the search branches on.
 
     ``max_len`` bounds total plan length (default: the number of grounded
     actions: ~9.5k on ``purdue_fixture(hosts=400)``, as grounding keeps only

@@ -720,6 +720,41 @@ class TestDistanceBound:
                 reachable += 1
         assert reachable > 50
 
+    def test_relevant_exploits_are_those_the_pass_reaches(self):
+        # one backward pass gives both: an exploit is relevant exactly when
+        # one of its effect bits has a finite dist, and a bit's dist is
+        # finite exactly when the pass reaches it from the goal, through
+        # the relevant exploits' clauses and needs and the needs' connects
+        def bits(mask):
+            return {i for i, c in enumerate(reversed(bin(mask)[2:])) if c == "1"}
+
+        walked = 0
+        for search in self._searches():
+            if not search.reachable or search.finish(0) is not None:
+                continue
+            root = len(search.dist) - 1
+            finite = {bit for bit, d in enumerate(search.dist) if d < float("inf")}
+            reached = set().union(*map(bits, search.goal),
+                                  *(bits(need) for need, _ in search.goal_needs))
+            for i, (_, clauses, needs, effects) in enumerate(search.prepared):
+                relevant = bool(search.relevant >> i & 1)
+                assert relevant == bool(bits(effects) & finite)
+                if relevant:
+                    reached |= set().union(*map(bits, clauses)) or {root}
+                    reached |= set().union(*(bits(need) for need, _ in needs))
+            chains = {bits(need).pop(): chain for need, chain in search.goal_needs}
+            pending = list(reached)
+            while pending:
+                bit = pending.pop()
+                for _, clauses in chains.get(bit) or search.index.achievers.get(bit, ()):
+                    for source in set().union(*map(bits, clauses)) or {root}:
+                        if source not in reached:
+                            reached.add(source)
+                            pending.append(source)
+            assert finite == reached
+            walked += 1
+        assert walked > 30
+
     def test_a_connection_goal_keeps_length_order(self):
         # the connect to data1 needs a foothold on web_server2, which only
         # exploits reach; plans come shortest first and none holds another
@@ -819,10 +854,14 @@ class TestDenseNetwork:
         assert (search.expansions, search.pushes) == (0, 0)
 
 
-def _relevant_by_passes(task, goal):
+def _relevant_by_passes(task, goal, open_only=False):
     """Backward relevance closure from the atoms of the CNF ``goal``, by
-    repeated passes over every action."""
-    relevant_atoms = {atom for clause in goal for atom in clause}
+    repeated passes over every action. With ``open_only`` it follows only
+    the clauses init leaves open, of the goal and of each action."""
+    def followed(clauses):
+        return [c for c in clauses if not open_only or c.isdisjoint(task.init)]
+
+    relevant_atoms = {atom for clause in followed(goal) for atom in clause}
     relevant_ids = set()
     changed = True
     while changed:
@@ -832,9 +871,15 @@ def _relevant_by_passes(task, goal):
                     and any(effect in relevant_atoms for effect in action.effects):
                 relevant_ids.add(action.id)
                 changed = True
-                for clause in action.precondition:
+                for clause in followed(action.precondition):
                     relevant_atoms.update(clause)
     return relevant_ids
+
+
+def _exploit_mask(search, ids) -> int:
+    """The exploits of ``ids`` as a mask over the search's prepared exploits."""
+    return sum(1 << i for i, prepared in enumerate(search.prepared)
+               if search.ids[prepared[0]] in ids)
 
 
 # the fixtures the shared reachability fixpoint is checked on
@@ -846,10 +891,19 @@ _FIXTURE_SIZES = ([("purdue", hosts) for hosts in (21, 40, 80, 200)]
 
 
 class TestSearchSetUp:
-    """The worklist relevance closure returns what a repeated-pass fixpoint
-    does, and the task's shared reachability fixpoint agrees with the
-    oracle's saturation and with each goal's own fixpoint over its relevant
-    exploits."""
+    """A goal's relevant exploits are the closure that follows only the
+    clauses init leaves open, found by repeated passes, and lie inside the
+    closure over every clause. The task's shared reachability fixpoint
+    agrees with the oracle's saturation and with each goal's own fixpoint
+    over its relevant exploits."""
+
+    @staticmethod
+    def _check_relevant(task, goal, search):
+        own = _relevant_by_passes(task, goal, open_only=True)
+        assert own <= _relevant_by_passes(task, goal)
+        if search.reachable:
+            assert search.relevant == _exploit_mask(search, own), goal
+        return own
 
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_repeated_passes(self, seed):
@@ -862,10 +916,20 @@ class TestSearchSetUp:
             low, root = (compromised_atom(host, level).render()
                          for level in (PrivilegeLevel.LOW, PrivilegeLevel.ROOT))
             for goal in ([{low}], [{root}], any_level_goal(host)):
-                assert planner._relevant_action_ids(task, goal) == \
-                    _relevant_by_passes(task, goal)
+                search = planner._Search(task, goal)
+                self._check_relevant(task, goal, search)
                 unreachable = any(reached.isdisjoint(clause) for clause in goal)
-                assert planner._Search(task, goal).complete(()) is unreachable, (host, goal)
+                assert search.complete(()) is unreachable, (host, goal)
+
+    def test_connection_goals_match_repeated_passes(self):
+        relevant = 0
+        for _, task in _oracle_tasks(range(60)):
+            for atom in sorted({e for a in task.connect_actions for e in a.effects}):
+                goal = (frozenset((atom,)),)
+                search = planner._Search(task, goal)
+                self._check_relevant(task, goal, search)
+                relevant += search.relevant != 0
+        assert relevant > 20
 
     @pytest.mark.parametrize("kind,size", _FIXTURE_SIZES)
     def test_the_shared_fixpoint_agrees(self, kind, size):
@@ -884,9 +948,7 @@ class TestSearchSetUp:
             for goal in ([frozenset({low})], [frozenset({root})], any_level_goal(host)):
                 search = planner._Search(task, goal)
                 assert search.index is index
-                relevant = planner._relevant_action_ids(task, goal)
-                own = sum(1 << i for i, prepared in enumerate(index.prepared)
-                          if index.ids[prepared[0]] in relevant)
+                own = _exploit_mask(search, self._check_relevant(task, goal, search))
                 expected = not any(reached.isdisjoint(clause) for clause in goal)
                 assert search.reachable is expected is search.reaches(own), (host, goal)
                 reachable += expected
