@@ -1,8 +1,9 @@
 """Scaling check on a generated 200-host industrial network.
 
 Replicated hosts run patched service versions, so the vulnerable surface
-stays fixed while grounding and search work through two hundred hosts and
-six zones. Reported numbers are wall-clock on whatever machine runs this.
+stays fixed while the network grows to two hundred hosts in six zones, and
+grounding keeps only the actions the attacker can reach. Reported numbers
+are wall-clock on whatever machine runs this.
 """
 import time
 

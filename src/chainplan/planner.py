@@ -67,8 +67,8 @@ class PlanningTask:
     init: frozenset[str]
     goal: frozenset[str]
     _by_id: dict = field(default_factory=dict, repr=False, compare=False)
-    # grounds connect instances that ``ground`` left out; None for a hand-built task
-    _resolver: "_ConnectGrounder | None" = field(default=None, repr=False, compare=False)
+    # grounds the instances that ``ground`` left out; None for a hand-built task
+    _resolver: "_Grounder | None" = field(default=None, repr=False, compare=False)
     # the search index once built (``search_index``): at most one entry
     _index: list = field(default_factory=list, repr=False, compare=False)
 
@@ -77,7 +77,8 @@ class PlanningTask:
             object.__setattr__(self, "_by_id", {a.id: a for a in self.actions})
 
     def action(self, action_id: str) -> GroundAction:
-        """The action with this id: grounded, or a connect grounded on demand."""
+        """The action with this id: grounded, or one that full grounding gives,
+        grounded on demand."""
         action = self._by_id.get(action_id)
         if action is None and self._resolver is not None:
             action = self._resolver.resolve(action_id)
@@ -207,70 +208,6 @@ class _FactIndex:
         return best
 
 
-def _bindings(schema, fluents, facts: "_FactIndex", objects_by_type,
-              lead=None) -> list[tuple[str, ...]]:
-    """Argument tuples, in parameter order, consistent with the static
-    singleton atoms.
-
-    ``lead``, an (atom, fact index) pair, is joined first when given: then
-    only bindings that make the atom one of those facts come out. The join
-    extends all partial bindings by one constraint at a time, so they bind
-    the same variables; a constraint with every variable bound by then is a
-    membership test. Unconstrained parameters range over their type, and a
-    parameter listed twice takes the value bound last, as in a dict.
-    """
-    constraints = [
-        (clause[0], facts) for clause in schema.precondition
-        if len(clause) == 1 and clause[0].name not in fluents
-    ]
-    if lead is not None:
-        constraints.insert(0, lead)
-    if any(atom.name not in index.by_pred for atom, index in constraints):
-        return []  # a predicate without facts: nothing can bind
-    partials = [{}]
-    bound: set[str] = set()
-    for atom, index in constraints:
-        pattern = [(arg, arg.startswith("?")) for arg in atom.args]
-        # constants, and variables an earlier constraint bound, are known in
-        # every partial binding
-        known = [(i, arg, var) for i, (arg, var) in enumerate(pattern)
-                 if not var or arg in bound]
-        if len(known) == len(pattern):  # a membership test
-            present = index.fact_set(atom.name)
-            partials = [b for b in partials
-                        if tuple([b[arg] if var else arg for arg, var in pattern]) in present]
-            continue
-        bound.update(arg for arg, var in pattern if var)
-        grown = []
-        for binding in partials:
-            for fact_args in index.candidates(
-                    atom.name, [(i, binding[arg] if var else arg) for i, arg, var in known]):
-                new = dict(binding)
-                for (arg, var), value in zip(pattern, fact_args):
-                    if var:
-                        if new.setdefault(arg, value) != value:
-                            break
-                    elif arg != value:
-                        break
-                else:
-                    grown.append(new)
-        partials = grown
-    free = [(v, t) for v, t in schema.parameters if v not in bound]
-    # a row holds a partial binding's values, then one object per free
-    # parameter; each parameter gathers its last column
-    order = list(bound)
-    column = {v: i for i, v in enumerate(order + [v for v, _ in free])}
-    gather = [column[v] for v, _ in schema.parameters]
-    pools = [objects_by_type.get(t, ()) for _, t in free]
-    out = []
-    for partial in partials:
-        head = tuple([partial[v] for v in order])
-        for objects in itertools.product(*pools):
-            row = head + objects
-            out.append(tuple([row[i] for i in gather]))
-    return out
-
-
 def _template(atom: Atom, position: dict) -> str:
     """``atom`` as a ``str.format`` template over an argument tuple: a
     parameter becomes its position there, and braces in names are doubled."""
@@ -282,10 +219,10 @@ def _template(atom: Atom, position: dict) -> str:
 
 
 class _Schema:
-    """An action schema compiled for one ``ground`` call: its clauses and
-    effects as format templates over the action's argument tuple, in
-    parameter order, so that instantiating one builds only the strings it
-    keeps or checks."""
+    """An action schema compiled for one ``ground`` call: its static join,
+    planned once per lead atom, and its clauses and effects as format
+    templates over the action's argument tuple, in parameter order, so that
+    instantiating one builds only the strings it keeps or checks."""
 
     def __init__(self, schema, fluents, init_set):
         self.schema = schema
@@ -294,21 +231,99 @@ class _Schema:
         self.variables = tuple(var for var, _ in schema.parameters)
         self.fluents = fluents
         self.position = {var: i for i, var in enumerate(self.variables)}
-        # (fluent atoms, static atoms) of the clauses that a binding from
-        # ``_bindings`` still has to check: all but the static singletons it
-        # joins against init. It reads only ``?`` arguments as parameters, and
-        # one named without ``?`` is substituted here, so that clause is kept
-        self.unjoined = tuple(
-            self._clause(clause) for clause in schema.precondition
-            if len(clause) > 1 or clause[0].name in fluents or not all(
-                arg.startswith("?") or arg not in self.position for arg in clause[0].args))
-        self.effects = tuple(_template(atom, self.position).format for atom in schema.effects)
         # a connect never joins a host to itself: the positions of its two
         # ends; () when it names neither (both read as None, so every instance
         # is dropped), None when it names one or is no connect
         ends = tuple(self.position[var] for var in ("?local_host", "?remote_host")
                      if var in self.position)
         self.ends = ends if self.source[0] == "connect" and len(ends) != 1 else None
+        self._plans: dict = {}  # lead atom or None -> ``_plan``
+
+    def _plan(self, lead: Atom | None) -> tuple[list, tuple[str, ...], list, list[int]]:
+        """The static join, planned: (steps, the variables they bind in row
+        order, the parameters left free, and per parameter its column in a
+        row followed by one object per free parameter).
+
+        A step is a constraint's predicate, whether it is ``lead``, its
+        positions known when it is joined as (position, row slot or None,
+        constant), the positions of the variables it binds, and the pairs of
+        positions that repeat one of those variables. A step that binds none
+        is a membership test."""
+        constraints = [(clause[0], False) for clause in self.schema.precondition
+                       if len(clause) == 1 and clause[0].name not in self.fluents]
+        if lead is not None:
+            constraints.insert(0, (lead, True))
+        steps = []
+        slot: dict[str, int] = {}  # a variable bound so far -> its slot in a row
+        for atom, is_lead in constraints:
+            known, first, same = [], {}, []
+            for i, arg in enumerate(atom.args):
+                if not arg.startswith("?"):
+                    known.append((i, None, arg))
+                elif arg in slot:
+                    known.append((i, slot[arg], None))
+                elif arg in first:
+                    same.append((i, first[arg]))
+                else:
+                    first[arg] = i
+            for var in first:
+                slot[var] = len(slot)
+            steps.append((atom.name, is_lead, known, list(first.values()), same))
+        free = [(v, t) for v, t in self.schema.parameters if v not in slot]
+        # a parameter listed twice gathers its last column
+        column = {v: i for i, v in enumerate(list(slot) + [v for v, _ in free])}
+        return steps, tuple(slot), free, [column[v] for v, _ in self.schema.parameters]
+
+    def join(self, facts: _FactIndex, lead=None) -> tuple[tuple[str, ...], list[tuple]]:
+        """The static join: (the variables it binds, one row of their values
+        per partial binding consistent with the static singleton atoms).
+
+        ``lead``, an (atom, fact index) pair, is joined first when given: then
+        only bindings that make the atom one of those facts come out. The join
+        extends all partial bindings by one constraint at a time, so they bind
+        the same variables; a constraint with every variable bound by then is
+        a membership test. Its steps are planned once per lead atom.
+        """
+        lead_atom, lead_index = lead if lead is not None else (None, None)
+        plan = self._plans.get(lead_atom)
+        if plan is None:
+            plan = self._plans[lead_atom] = self._plan(lead_atom)
+        steps, order = plan[0], plan[1]
+        for name, is_lead, _, _, _ in steps:
+            if name not in (lead_index if is_lead else facts).by_pred:
+                return order, []  # a predicate without facts: nothing can bind
+        rows = [()]
+        for name, is_lead, known, fresh, same in steps:
+            index = lead_index if is_lead else facts
+            if not fresh:  # ``known`` holds every position, in order
+                present = index.fact_set(name)
+                rows = [row for row in rows if tuple(
+                    [c if s is None else row[s] for _, s, c in known]) in present]
+                continue
+            grown = []
+            for row in rows:
+                values = [(i, c if s is None else row[s]) for i, s, c in known]
+                for fact in index.candidates(name, values):
+                    for i, value in values:
+                        if fact[i] != value:
+                            break
+                    else:
+                        if not same or all(fact[i] == fact[j] for i, j in same):
+                            grown.append(row + tuple([fact[i] for i in fresh]))
+            rows = grown
+        return order, rows
+
+    def bindings(self, facts: _FactIndex, objects_by_type, lead=None) -> list[tuple[str, ...]]:
+        """Argument tuples, in parameter order, consistent with the static
+        singleton atoms: the rows of ``join``, where the parameters it leaves
+        unbound range over their type. A parameter listed twice takes the
+        value bound last, as in a dict."""
+        _, heads = self.join(facts, lead)
+        _, _, free, gather = self._plans[lead[0] if lead is not None else None]
+        pools = [objects_by_type.get(t, ()) for _, t in free]
+        return [tuple([row[i] for i in gather])
+                for head in heads for objects in itertools.product(*pools)
+                for row in (head + objects,)]
 
     def _clause(self, clause) -> tuple[tuple, tuple]:
         fluent, static = [], []
@@ -316,6 +331,23 @@ class _Schema:
             (fluent if atom.name in self.fluents else static).append(
                 _template(atom, self.position).format)
         return tuple(fluent), tuple(static)
+
+    @functools.cached_property
+    def unjoined(self) -> tuple[tuple[tuple, tuple], ...]:
+        """(fluent atoms, static atoms) of the clauses that a binding from
+        ``bindings`` still has to check: all but the static singletons it
+        joins against init. It reads only ``?`` arguments as parameters, and
+        one named without ``?`` is substituted here, so that clause is kept.
+        Compiled on first use, as a schema the exploration never offers a
+        binding needs none."""
+        return tuple(
+            self._clause(clause) for clause in self.schema.precondition
+            if len(clause) > 1 or clause[0].name in self.fluents or not all(
+                arg.startswith("?") or arg not in self.position for arg in clause[0].args))
+
+    @functools.cached_property
+    def effects(self) -> tuple:
+        return tuple(_template(atom, self.position).format for atom in self.schema.effects)
 
     @functools.cached_property
     def clauses(self) -> tuple[tuple[tuple, tuple], ...]:
@@ -327,7 +359,7 @@ class _Schema:
         """The ground action of ``args``, or None when grounding drops it: a
         connect from a host to itself, or a static clause that init
         falsifies. Static clauses that init satisfies are left out of the
-        precondition. ``joined`` says that ``args`` came from ``_bindings``,
+        precondition. ``joined`` says that ``args`` came from ``bindings``,
         which has made every static singleton a fact of init already."""
         if self.ends is not None and (not self.ends or args[self.ends[0]] == args[self.ends[1]]):
             return None
@@ -351,23 +383,68 @@ def _action_order(action: GroundAction) -> tuple:
     return (action.name, action.args)
 
 
-class _ConnectGrounder:
-    """Grounds connect schemas on demand, by the rules of ``ground``: the
-    instances that achieve given atoms (one join per schema effect), or the
-    one instance an id names."""
+def _is_connected_atom(atom: str) -> bool:
+    return atom.startswith("(TCP_connected ") or atom.startswith("(UDP_connected ")
+
+
+def _gate_shape(parameters, order: tuple, pattern: tuple, objects_by_type) -> tuple:
+    """How an atom that matches a gate atom extends the static join's rows
+    into bindings. ``order`` holds the variables the join binds, in row
+    order, and ``pattern`` the gate atom's arguments, with None for a
+    constant.
+
+    The shape is (the positions of the atom's variables the join binds,
+    their slots in a row, the positions of those the join leaves unbound,
+    per parameter its column in a row followed by those unbound values and
+    one object per parameter that neither binds, and every combination of
+    such objects). A variable is read at its first position: a binding from
+    an atom that repeats it with another value waits on the gate clause like
+    any other."""
+    first: dict[str, int] = {}
+    for i, var in enumerate(pattern):
+        if var is not None:
+            first.setdefault(var, i)
+    key = [v for v in first if v in order]
+    values = [v for v in first if v not in order]
+    free = {v: t for v, t in parameters if v not in order and v not in first}
+    column = {v: i for i, v in enumerate(list(order) + values + list(free))}
+    return (tuple([first[v] for v in key]), tuple([order.index(v) for v in key]),
+            tuple([first[v] for v in values]), [column[v] for v, _ in parameters],
+            list(itertools.product(*[objects_by_type.get(t, ()) for t in free.values()])))
+
+
+class _Grounder:
+    """Grounds a domain's schemas by the rules of full grounding: the
+    exploits the attacker can fire, with the connects they or the goal name
+    (``explore``), and on demand the connects that achieve given atoms (one
+    join per connect schema effect) or the one instance, exploit or connect,
+    that an id names."""
 
     def __init__(self, schemas, predicates, fluents, facts, objects_by_type,
                  object_types, init_set):
-        self.schemas = {s.name: _Schema(s, fluents, init_set) for s in schemas}
+        self.schemas = {s.name: s for s in schemas}
+        self.exploits = [s for s in schemas if s.name not in CONNECT_ACTIONS]
+        self.fluents = fluents
+        self.init_set = init_set
+        # compiled so far, by name: the connects, and the schemas of ids resolved
+        self._compiled: dict[str, _Schema] = {}
+        self.connects = [self.compiled(s.name) for s in schemas if s.name in CONNECT_ACTIONS]
         # declared argument types of the predicates connects achieve
         self.achieved = {a.name: tuple(kind for _, kind in predicates[a.name])
-                         for s in schemas for a in s.effects}
-        self.fluents = fluents
+                         for c in self.connects for a in c.schema.effects}
         self.facts = facts
         self.tried = 0  # bindings instantiated by ``achievers`` so far
         self.objects_by_type = objects_by_type
         self.object_types = object_types
         self._folded: tuple[dict, dict] | None = None
+
+    def compiled(self, name: str) -> _Schema | None:
+        """The schema of this name, compiled on first use; None if there is none."""
+        compiled = self._compiled.get(name)
+        if compiled is None and name in self.schemas:
+            compiled = self._compiled[name] = _Schema(self.schemas[name], self.fluents,
+                                                      self.init_set)
+        return compiled
 
     def achievers(self, atoms) -> list[GroundAction]:
         """Every connect instance with an effect among ``atoms``."""
@@ -381,15 +458,22 @@ class _ConnectGrounder:
             if len(args) == len(kinds) and all(
                     self.object_types.get(arg) == kind for arg, kind in zip(args, kinds)):
                 wanted.setdefault(name, []).append(tuple(args))
+        return self._achievers(wanted)
+
+    def _achievers(self, wanted: dict[str, list[tuple[str, ...]]]) -> list[GroundAction]:
+        """Every connect instance with an effect among ``wanted``: typed
+        argument tuples, by predicate."""
         if not wanted:
             return []
         index = _FactIndex(wanted)
         out = []
-        for compiled in self.schemas.values():
+        for compiled in self.connects:
             seen = set()  # one binding can achieve several wanted atoms
             for effect in compiled.schema.effects:
-                for args in _bindings(compiled.schema, self.fluents, self.facts,
-                                      self.objects_by_type, lead=(effect, index)):
+                if effect.name not in wanted:
+                    continue
+                for args in compiled.bindings(self.facts, self.objects_by_type,
+                                              lead=(effect, index)):
                     if args in seen:
                         continue
                     seen.add(args)
@@ -399,22 +483,212 @@ class _ConnectGrounder:
             self.tried += len(seen)
         return out
 
+    def explore(self, goal) -> tuple[list[GroundAction], tuple[int, int, int, int, int]]:
+        """(actions, counts): the exploits that can fire from init, and the
+        connects with an effect in ``goal`` or in a fired exploit's clause,
+        in no order; and the bindings instantiated, the rounds, the bindings
+        offered, the exploits fired and the instances left waiting.
+
+        A relaxed forward exploration that grounds as it goes, as Fast
+        Downward's translator does (Helmert, AIJ 2009), run as a semi-naive
+        Datalog fixpoint (Ou, Govindavajhala & Appel, USENIX Security 2005).
+        An exploit schema's gate is its first clause made only of fluent
+        atoms that no connect achieves: in chainplan's domain, the foothold.
+        Its static join runs once, its rows bucketed by the values of the
+        gate's variables the join binds. Each atom reached is offered once to
+        the gate atoms of its predicate and constants, and a match extends
+        the rows of its bucket into bindings; a schema without a gate is
+        joined in full up front. Each new binding is instantiated once and
+        waits on a count of its open clauses. An open clause atom that a
+        connect achieves (in chainplan's domain, a connection atom) asks for
+        those connects, in one batch per round, and they wait on their own
+        clauses. An instance fires once every clause holds; the atoms it adds
+        are offered in the next round. So an exploit fires exactly when it
+        fires in the delete-free fixpoint of every action full grounding
+        gives.
+        """
+        reached = set(self.init_set)
+        instances: list[GroundAction] = []  # every instance built, by slot
+        missing: list[int] = []  # per slot: its clauses that do not hold yet
+        owner: list[int] = []  # per open clause: its instance's slot, or -1 once it holds
+        watch: dict[str, list[int]] = {}  # atom -> the open clauses it satisfies
+        ready: list[int] = []  # slots whose clauses all hold, to fire
+        # the open-clause atoms looked at so far; of those, the ones a connect
+        # achieves whose achievers are yet to be asked for, as argument tuples
+        # by predicate (typed by construction)
+        asked: set[str] = set()
+        requests: dict[str, list[tuple[str, ...]]] = {}
+        connects: dict[str, GroundAction] = {}
+        fired: list[GroundAction] = []
+        tried = offered = 0
+        achieved = self.achieved
+
+        def add(action: GroundAction):
+            slot = len(instances)
+            instances.append(action)
+            count = 0
+            for clause in action.precondition:
+                if not clause.isdisjoint(reached):
+                    continue
+                for atom in clause:
+                    watch.setdefault(atom, []).append(len(owner))
+                    if atom not in asked:
+                        asked.add(atom)
+                        # the predicate; find gives -1 for an atom without arguments
+                        name = atom[1:atom.find(" ")]
+                        if name in achieved:
+                            requests.setdefault(name, []).append(
+                                tuple(atom[1:-1].split(" ")[1:]))
+                owner.append(slot)
+                count += 1
+            missing.append(count)
+            if not count:
+                ready.append(slot)
+
+        # predicate -> {constant positions -> {their values -> entries}}. An
+        # entry is one gate atom's: (its schema compiled, the schema's
+        # bindings offered so far, the values of the atom's variables matched
+        # so far, the shape's key positions, the join's rows by the values at
+        # its key slots, and the rest of the shape)
+        gates: dict[str, dict[tuple, dict[tuple, list]]] = {}
+        shapes: dict[tuple, tuple] = {}  # (parameters, join order, pattern) -> ``_gate_shape``
+        for schema in self.exploits:
+            # compiled for this exploration alone: the task keeps none of it
+            compiled = _Schema(schema, self.fluents, self.init_set)
+            gate = next((clause for clause in schema.precondition if all(
+                atom.name in self.fluents and atom.name not in achieved for atom in clause)),
+                None)
+            if gate is None:
+                for args in compiled.bindings(self.facts, self.objects_by_type):
+                    tried += 1
+                    action = compiled.instantiate(args, joined=True)
+                    if action is not None:
+                        add(action)
+                continue
+            order, rows = compiled.join(self.facts)
+            if not rows:
+                continue
+            seen: set[tuple] = set()
+            # one entry per pattern: gate atoms that differ only in constants share it
+            entries: dict[tuple, tuple] = {}
+            for atom in gate:
+                pattern = tuple([arg if arg in compiled.position else None for arg in atom.args])
+                entry = entries.get(pattern)
+                if entry is None:
+                    shape = shapes.get((schema.parameters, order, pattern))
+                    if shape is None:
+                        shape = shapes[schema.parameters, order, pattern] = _gate_shape(
+                            schema.parameters, order, pattern, self.objects_by_type)
+                    key, where, values, gather, combos = shape
+                    bucket: dict[tuple, list] = {}
+                    for row in rows:
+                        bucket.setdefault(tuple([row[i] for i in where]), []).append(row)
+                    entry = entries[pattern] = (
+                        compiled, seen, set(), key, bucket, values, gather, combos)
+                constants = tuple([i for i, var in enumerate(pattern) if var is None])
+                gates.setdefault(atom.name, {}).setdefault(constants, {}).setdefault(
+                    tuple([atom.args[i] for i in constants]), []).append(entry)
+
+        def offer(name: str, args):
+            nonlocal tried, offered
+            for positions, table in gates[name].items():
+                for compiled, seen, done, key, bucket, values, gather, combos in table.get(
+                        tuple([args[i] for i in positions]), ()):
+                    known = tuple([args[i] for i in key])
+                    heads = bucket.get(known)
+                    if heads is None:
+                        continue
+                    tail = tuple([args[i] for i in values])
+                    if known + tail in done:  # another atom of the gate matched so
+                        continue
+                    done.add(known + tail)
+                    for head in heads:
+                        for objects in combos:
+                            row = head + tail + objects
+                            binding = tuple([row[i] for i in gather])
+                            offered += 1
+                            if binding in seen:
+                                continue
+                            seen.add(binding)
+                            tried += 1
+                            action = compiled.instantiate(binding, joined=True)
+                            if action is not None:
+                                add(action)
+
+        def fire() -> list:
+            """Fire every ready instance, and those it readies: the atoms
+            added that a gate may match."""
+            fresh = []
+            while ready:
+                action = instances[ready.pop()]
+                fired.append(action)
+                for effect in action.effects:
+                    if effect in reached:
+                        continue
+                    reached.add(effect)
+                    for clause in watch.pop(effect, ()):
+                        slot = owner[clause]
+                        if slot >= 0:
+                            owner[clause] = -1
+                            missing[slot] -= 1
+                            if not missing[slot]:
+                                ready.append(slot)
+                    name = effect[1:effect.find(" ")]
+                    if name in gates:
+                        fresh.append((name, effect[1:-1].split(" ")[1:]))
+            return fresh
+
+        fresh = [(name, args) for name in gates for args in self.facts.by_pred.get(name, ())]
+        rounds = 0
+        while True:
+            rounds += 1
+            for name, args in fresh:
+                offer(name, args)
+            if requests:
+                batch = dict(requests)
+                requests.clear()  # what the connects built now ask for waits a round
+                for action in self._achievers(batch):
+                    if action.id not in connects:
+                        connects[action.id] = action
+                        add(action)
+            fresh = fire()
+            if not fresh and not requests:
+                break
+
+        exploits = [a for a in fired if a.source[0] == "exploit"]
+        wanted = set(goal)
+        for action in exploits:
+            wanted.update(*action.precondition)
+        kept = exploits + [a for a in connects.values() if not wanted.isdisjoint(a.effects)]
+        kept += [a for a in self.achievers(wanted - asked) if a.id not in connects]
+        return kept, (tried, rounds, offered, len(exploits), len(instances) - len(fired))
+
     def resolve(self, action_id) -> GroundAction | None:
-        """The connect instance full grounding would give this id, or None."""
+        """The instance full grounding would give this id, or None. Full
+        grounding drops an exploit with a clause of connection atoms that
+        neither init nor any connect achieves."""
         if not isinstance(action_id, str):
             return None
         name, *args = action_id.split(" ")
-        compiled = self.schemas.get(name)
+        compiled = self.compiled(name)
         if compiled is None or len(args) != len(compiled.schema.parameters) or any(
                 self.object_types.get(arg) != kind
                 for arg, (_, kind) in zip(args, compiled.schema.parameters)):
             return None
         binding = dict(zip(compiled.variables, args))  # a parameter named twice: its last
-        return compiled.instantiate(tuple([binding[var] for var in compiled.variables]),
-                                    joined=False)
+        action = compiled.instantiate(tuple([binding[var] for var in compiled.variables]),
+                                      joined=False)
+        if action is None or compiled.source[0] == "connect":
+            return action
+        for clause in action.precondition:
+            if all(_is_connected_atom(atom) and atom not in self.init_set for atom in clause) \
+                    and not self.achievers(clause):
+                return None
+        return action
 
-    def resolve_folded(self, text: str) -> list[str]:
-        """The connect ids that lower-case to ``text`` (lower-cased) and resolve."""
+    def resolve_folded(self, text: str, grounded) -> list[str]:
+        """The ids not in ``grounded`` that lower-case to ``text``
+        (lower-cased) and resolve."""
         if self._folded is None:
             names: dict[str, list[str]] = {}
             for name in self.schemas:
@@ -427,30 +701,28 @@ class _ConnectGrounder:
         name, *args = text.split(" ")
         options = [names.get(name, ())] + [objects.get(arg, ()) for arg in args]
         return [action_id for action_id in map(" ".join, itertools.product(*options))
-                if self.resolve(action_id) is not None]
-
-
-def _is_connected_atom(atom: str) -> bool:
-    return atom.startswith("(TCP_connected ") or atom.startswith("(UDP_connected ")
+                if action_id not in grounded and self.resolve(action_id) is not None]
 
 
 def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
-    """Instantiate action schemas over the problem's typed objects.
+    """Instantiate the action schemas the attacker can use over the
+    problem's typed objects.
 
     Static facts (configuration, topology, listeners, trusted channels) are
     settled against init: instantiations with an unsatisfiable static clause
     are dropped and satisfied static clauses are removed, so the remaining
     preconditions reference only fluent atoms. Connect actions never connect
-    a host to itself, and exploit instantiations whose required connection
-    atom has no achiever are dropped as unreachable.
+    a host to itself.
 
-    Grounding is goal-directed. Exploit schemas are grounded first, and a
-    connect instance is kept only when one of its effects is an atom in a
-    kept exploit's precondition or in the goal; the connect schemas are
-    joined against those atoms, so the others are never enumerated. Any
-    other connect that full grounding would produce is still a valid id:
-    ``PlanningTask.action`` and ``match_plan`` ground it from its id on a
-    miss, by the same type, self-connect and static-clause rules.
+    Grounding is bounded by reachability (``_Grounder.explore``): a relaxed
+    forward exploration from init, which does not depend on the goal,
+    instantiates an exploit only once its foothold is reached, and keeps the
+    exploits that can fire. A connect instance is kept when one of its
+    effects is an atom in a kept exploit's precondition or in the goal. Any
+    other id that full grounding would produce, exploit or connect, is still
+    a valid id: ``PlanningTask.action`` and ``match_plan`` ground it from its
+    id on a miss, by the same type, self-connect, static-clause and
+    connection-achiever rules.
 
     Each schema is compiled once per call into format templates (``_Schema``),
     and the bindings of the static join are instantiated from those.
@@ -492,71 +764,28 @@ def ground(domain: PddlDocument, problem: PddlDocument) -> PlanningTask:
         check_ground_atom(atom, ":goal")
     goal = frozenset(atom_str(a.name, a.args) for a in problem.goal)
 
-    fluents = {a.name for schema in domain.actions for a in schema.effects}
-    facts = _FactIndex(init_by_pred)
-
-    exploits: list[GroundAction] = []
-    tried = 0
     for schema in domain.actions:
         _check_schema_types(schema, predicates, object_types)
-        if schema.name in CONNECT_ACTIONS:
-            continue
-        compiled = _Schema(schema, fluents, init_set)
-        bindings = _bindings(schema, fluents, facts, objects_by_type)
-        tried += len(bindings)
-        for args in bindings:
-            action = compiled.instantiate(args, joined=True)
-            if action is not None:
-                exploits.append(action)
-
-    resolver = _ConnectGrounder(
-        [s for s in domain.actions if s.name in CONNECT_ACTIONS], predicates, fluents,
-        facts, objects_by_type, object_types, init_set)
-    wanted = set(goal)
-    for action in exploits:
-        wanted.update(*action.precondition)
-    connects = resolver.achievers(wanted)
-
-    # connection atoms are achievable only through init or a connect action;
-    # ``connects`` holds the achievers of every atom an exploit clause names
-    achievable = {a for a in init_set if _is_connected_atom(a)}
-    for action in connects:
-        achievable.update(action.effects)
-
-    def conn_possible(action: GroundAction) -> bool:
-        for clause in action.precondition:
-            possible = False
-            for atom in clause:
-                if _is_connected_atom(atom):
-                    if atom in achievable:
-                        possible = True
-                        break
-                else:
-                    possible = True
-                    break
-            if not possible:
-                return False
-        return True
-
-    exploits = [a for a in exploits if conn_possible(a)]
-    needed = set(goal)
-    for action in exploits:
-        needed.update(*action.precondition)
-    actions = exploits + [a for a in connects if not needed.isdisjoint(a.effects)]
+    fluents = {a.name for schema in domain.actions for a in schema.effects}
+    grounder = _Grounder(domain.actions, predicates, fluents, _FactIndex(init_by_pred),
+                         objects_by_type, object_types, init_set)
+    actions, (tried, rounds, offered, fired, waiting) = grounder.explore(goal)
     actions.sort(key=_action_order)
 
     universe = set(init_set) | goal
     for action in actions:
         universe.update(*action.precondition, action.effects)
-    logger.debug("ground: %d schemas, %d bindings tried, %d actions kept, %d atoms",
-                 len(domain.actions), tried + resolver.tried, len(actions), len(universe))
+    logger.debug("ground: %d schemas, %d bindings tried, %d actions kept, %d atoms; "
+                 "exploration: %d rounds, %d bindings offered, %d exploits fired, "
+                 "%d instances left waiting", len(domain.actions), tried + grounder.tried,
+                 len(actions), len(universe), rounds, offered, fired, waiting)
 
     return PlanningTask(
         atoms=tuple(sorted(universe)),
         actions=tuple(actions),
         init=frozenset(init_set),
         goal=goal,
-        _resolver=resolver,
+        _resolver=grounder,
     )
 
 
@@ -590,7 +819,7 @@ def match_plan(task: PlanningTask, parsed: PlanFile) -> Plan:
         folded = text.lower()
         found = [by_lower[folded]] if folded in by_lower else []
         if task._resolver is not None:
-            found += task._resolver.resolve_folded(folded)
+            found += task._resolver.resolve_folded(folded, task._by_id)
         if not found:
             raise UnknownActionId(f"unknown action {text!r}")
         # ids that differ only in case: the last in action order wins
@@ -1142,12 +1371,13 @@ def find_top_k(task: PlanningTask, k: int, max_len: int | None = None,
     gives both the lower bound and the exploits the search branches on.
 
     ``max_len`` bounds total plan length (default: the number of grounded
-    actions: ~9.5k on ``purdue_fixture(hosts=400)``, as grounding keeps only
-    the connects some exploit needs, and still above any plan's length,
-    since a minimal plan holds only kept actions). ``max_expansions`` caps
-    search effort, counted in exploit sets expanded. Results are exact when
-    the search drains its heap within the budget (small tasks do in well
-    under a thousand expansions), or when a completeness check proves the
+    actions: 303 on ``purdue_fixture`` at 21 to 1,000 hosts, as grounding
+    keeps only the exploits that can fire and the connects they or the goal
+    need, and still above any plan's length, since a minimal plan holds each
+    kept action at most once). ``max_expansions`` caps search effort,
+    counted in exploit sets expanded. Results are exact when the search
+    drains its heap within the budget (small tasks do in well under a
+    thousand expansions), or when a completeness check proves the
     plans found are every minimal plan: a search with fewer than ``k`` plans
     checks once it has gone as long without a plan as it took to find its
     last one, and at a budget stop.

@@ -269,20 +269,33 @@ def naive_ground_all(domain, problem):
     }
 
 
-def naive_ground_ids(domain, problem):
-    """The ground action ids of the grounding contract: full grounding, then
-    a connect is kept only if one of its effects lies in a kept exploit's
-    clause or in the goal."""
+class _FullAction(NamedTuple):
+    precondition: list
+    effects: list
+
+
+def naive_fired_exploits(domain, problem):
+    """The exploit ids of full grounding whose clauses all hold in the
+    ``saturate`` fixpoint of every action full grounding gives."""
     full = naive_ground_all(domain, problem)
+    init = {(a.name,) + a.args for a in problem.init}
+    final = saturate(init, [_FullAction(clauses, effects)
+                            for _, clauses, effects in full.values()])
+    return {action_id for action_id, (is_connect, clauses, _) in full.items()
+            if not is_connect and all(set(clause) & final for clause in clauses)}
+
+
+def naive_ground_ids(domain, problem):
+    """The ground action ids of the grounding contract: full grounding's
+    exploits that fire under ``saturate``, and the connects with an effect
+    in one of their clauses or in the goal."""
+    full = naive_ground_all(domain, problem)
+    fired = naive_fired_exploits(domain, problem)
     needed = {(a.name,) + a.args for a in problem.goal}
-    for is_connect, clauses, _ in full.values():
-        if not is_connect:
-            needed.update(atom for clause in clauses for atom in clause)
-    return {
-        action_id
-        for action_id, (is_connect, _, effects) in full.items()
-        if not is_connect or needed.intersection(effects)
-    }
+    for action_id in fired:
+        needed.update(atom for clause in full[action_id][1] for atom in clause)
+    return fired | {action_id for action_id, (is_connect, _, effects) in full.items()
+                    if is_connect and needed.intersection(effects)}
 
 
 # --- CVSS -----------------------------------------------------------------------

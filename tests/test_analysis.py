@@ -194,8 +194,10 @@ class TestCompileLog:
         assert [(r.name, r.getMessage()) for r in caplog.records] == [
             ("chainplan.netmodel", "relevance: 86 records kept, 0 discarded; "
                                    "25 distinct CPEs, 2033 match decisions"),
-            ("chainplan.planner", "ground: 90 schemas, 12429 bindings tried, "
-                                  "9535 actions kept, 6942 atoms"),
+            ("chainplan.planner", "ground: 90 schemas, 446 bindings tried, "
+                                  "303 actions kept, 2763 atoms; exploration: 6 rounds, "
+                                  "271 bindings offered, 153 exploits fired, "
+                                  "118 instances left waiting"),
         ]
 
 

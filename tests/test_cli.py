@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainplan import cli, classifier, load_records, parse_pddl
+from chainplan import (ExploitMatrix, cli, classifier, compile_network, load_records,
+                       network_from_dict, parse_pddl, records_from_dict)
 from chainplan.errors import ChainplanError
 
 from conftest import FIXTURES, JSON_VALUES, MOTIVATING_CHAIN, build_task, mutated_json
@@ -406,6 +407,40 @@ class TestValidatePlan:
         assert (got, json.loads(out), err) == (code, verdict, "")
 
 
+    # No foothold on corp1 is ever reached, so grounding keeps no exploit from
+    # it; full grounding has this one, and a plan file may still name it.
+    UNREACHED = "apache_couchdb_arbitrary_command_execution corp1 data1 agent"
+
+    @pytest.mark.parametrize("steps, verdict", [
+        # the exploit resolves, and fails on its foothold at its step
+        (PURDUE21_PLAN[:2] + (UNREACHED,) + PURDUE21_PLAN[2:],
+         {"failed_step": 2, "valid": False, "reason": "unsatisfied clause: "
+          "(is_compromised corp1 agent HIGH_PRIVILEGES) or "
+          "(is_compromised corp1 agent LOW_PRIVILEGES) or "
+          "(is_compromised corp1 agent ROOT_PRIVILEGES)"}),
+        # the attacker shares no subnet with data1: no connect gives the
+        # connection, so full grounding has no such exploit
+        (("apache_couchdb_arbitrary_command_execution attacker_host data1 agent",)
+         + PURDUE21_PLAN,
+         {"valid": False, "reason": "unknown action "
+          "'apache_couchdb_arbitrary_command_execution attacker_host data1 agent'"}),
+    ], ids=["unreached-foothold", "no-connect"])
+    def test_exploit_steps_outside_the_grounded_task(self, capsys, tmp_path, steps, verdict):
+        from chainplan.synth import purdue_fixture
+
+        network, catalog = purdue_fixture(hosts=21)
+        (tmp_path / "net.json").write_text(json.dumps(network))
+        (tmp_path / "cat.json").write_text(json.dumps(catalog))
+        (tmp_path / "plan").write_text("".join(f"({s})\n" for s in steps))
+        *_, task = compile_network(network_from_dict(network),
+                                   ExploitMatrix(tuple(records_from_dict(catalog))))
+        assert self.UNREACHED not in {a.id for a in task.actions}
+        got, out, err = run_cli(capsys, "validate-plan", "--network", str(tmp_path / "net.json"),
+                                "--catalog", str(tmp_path / "cat.json"),
+                                "--plan", str(tmp_path / "plan"), "--format", "json")
+        assert (got, json.loads(out), err) == (3, verdict, "")
+
+
 class TestUsageAndInputErrors:
     def usage_exit(self, capsys, *argv):
         with pytest.raises(SystemExit) as exc:
@@ -595,7 +630,8 @@ def test_verbose_logs_relevance_and_grounding_to_stderr():
         "DEBUG chainplan.netmodel: relevance: 3 records kept, 0 discarded; "
         "5 distinct CPEs, 9 match decisions",
         "DEBUG chainplan.planner: ground: 7 schemas, 13 bindings tried, 7 actions kept, "
-        "28 atoms",
+        "28 atoms; exploration: 4 rounds, 7 bindings offered, 4 exploits fired, "
+        "3 instances left waiting",
         "DEBUG chainplan.planner: search: 1 plan(s), 4 expansions, 5 pushes",
     ]
 

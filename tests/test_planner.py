@@ -31,7 +31,9 @@ from chainplan.analysis import privilege_sensitivity, sweep_targets
 from chainplan.netmodel import select_relevant_exploits
 from chainplan.pddlgen import (
     CONNECT_ACTIONS,
+    ActionSchema,
     Atom,
+    PddlDocument,
     PlanFile,
     PlanStep,
     compromised_atom,
@@ -60,8 +62,8 @@ from chainplan.errors import (
 )
 
 from conftest import FIXTURES, MOTIVATING_CHAIN, any_level_goal, build_task, fixture_pair
-from oracles import brute_force_any_of, brute_force_minimal_sets, naive_ground_all, \
-    naive_ground_ids, saturate
+from oracles import brute_force_any_of, brute_force_minimal_sets, naive_fired_exploits, \
+    naive_ground_all, naive_ground_ids, saturate
 
 
 class TestGround:
@@ -71,9 +73,21 @@ class TestGround:
                  if a.name == "apache_couchdb_arbitrary_command_execution"]
         assert [(a.args[0], a.args[1]) for a in couch] == [("web_server", "db_server")]
 
-    def test_matches_naive_oracle_motivating(self, motivating_task):
-        domain, problem, task = motivating_task
+    @staticmethod
+    def _reachable_part_of_full_grounding(domain, problem, task):
+        # the ids are full grounding's exploits that fire under saturation,
+        # plus the connects those exploits or the goal name
         assert {a.id for a in task.actions} == naive_ground_ids(domain, problem)
+        # and an exploit full grounding gives that grounding left out never
+        # fires in the fixpoint of every action full grounding gives
+        full = naive_ground_all(domain, problem)
+        left_out = {i for i, (is_connect, _, _) in full.items() if not is_connect} - {
+            a.id for a in task.exploit_actions}
+        assert not left_out & naive_fired_exploits(domain, problem)
+        return left_out
+
+    def test_matches_naive_oracle_motivating(self, motivating_task):
+        self._reachable_part_of_full_grounding(*motivating_task)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8, 13, 21, 34])
     def test_matches_naive_oracle_random(self, seed):
@@ -82,8 +96,32 @@ class TestGround:
 
         if not select_relevant_exploits(net, matrix).relevant:
             pytest.skip("nothing relevant")
-        domain, problem, task = build_task(net, matrix)
-        assert {a.id for a in task.actions} == naive_ground_ids(domain, problem)
+        self._reachable_part_of_full_grounding(*build_task(net, matrix))
+
+    def test_left_out_exploits_are_those_that_cannot_fire(self):
+        # over every fixture the tests above sample, some exploit of full
+        # grounding is left out, and some is kept
+        left, kept = 0, 0
+        for seed in [1, 2, 3, 5, 8, 13, 21, 34]:
+            net, matrix = fixture_pair(seed)
+            if not select_relevant_exploits(net, matrix).relevant:
+                continue
+            domain, problem, task = build_task(net, matrix)
+            left += len(self._reachable_part_of_full_grounding(domain, problem, task))
+            kept += len(task.exploit_actions)
+        assert left > 0 and kept > 0
+
+    def test_an_exploit_without_an_achieving_connect_stays_unknown(self, motivating_task):
+        # attacker_host shares no subnet with db_server, so no connect gives
+        # the connection the couchdb exploit needs: full grounding drops it
+        domain, problem, task = motivating_task
+        dropped = "apache_couchdb_arbitrary_command_execution attacker_host db_server agent"
+        assert dropped not in naive_ground_all(domain, problem)
+        with pytest.raises(UnknownActionId):
+            task.action(dropped)
+        assert task.action("apache_couchdb_arbitrary_command_execution web_server db_server "
+                           "agent").precondition[1] == frozenset(
+            {"(TCP_connected web_server db_server a--apache--couchdb)"})
 
     def test_id_is_stored_at_construction(self, motivating_task):
         _, _, task = motivating_task
@@ -134,12 +172,19 @@ class TestGround:
         }]})))
         domain, problem, task = build_task(motivating_network, matrix)
         # the schema's version clause is installed couchdb's 2.0.0, which the
-        # static filter keeps on db_server alone
+        # static filter keeps on db_server alone. No foothold reaches it, so
+        # grounding keeps no instance; the ids that resolve are full grounding's
         (schema,) = [a for a in domain.actions if a.name == "couch_other_version"]
         assert (Atom("has_version", ("?remote_host", "a--apache--couchdb", "ma2", "mi0",
                                      "pa0")),) in schema.precondition
-        assert {a.args[1] for a in task.actions if a.name == "couch_other_version"} == {
-            "db_server"}
+        assert not task.exploit_actions
+        hosts = motivating_network.host_names()
+        resolved = {(local, remote) for local in hosts for remote in hosts
+                    if task._resolver.resolve(f"couch_other_version {local} {remote} agent")}
+        assert resolved == {("web_server", "db_server")}
+        assert {i for i in naive_ground_all(domain, problem)
+                if i.startswith("couch_other_version ")} == {
+            "couch_other_version web_server db_server agent"}
 
     def test_no_self_connect(self, motivating_task):
         _, _, task = motivating_task
@@ -257,12 +302,12 @@ class TestGroundTemplates:
 
         full = naive_ground_all(domain, problem)
         assert {a.id for a in task.actions} == naive_ground_ids(domain, problem)
-        assert [a.id for a in task.actions] == [
-            "hop{1}%s h%s h%s", "hop{1}%s h1 h%s", "hop{1}%s h1 h{2}", "hop{1}%s h{2} h%s",
-            "tcp_connect h%s h1", "tcp_connect h%s h{2}", "tcp_connect h1 h{2}",
-            "tcp_connect h{2} h1"]
-        # two connects no kept action needs resolve from their ids
-        assert len(full) == len(task.actions) + 2
+        # no hop can fire: each needs ``up{}`` on its first host, which only
+        # a connect from a host a hop reaches gives. Only the connects that
+        # achieve a goal atom are kept
+        assert [a.id for a in task.actions] == ["tcp_connect h%s h{2}", "tcp_connect h1 h{2}"]
+        # the four hops and four connects grounding left out resolve from their ids
+        assert len(full) == len(task.actions) + 8
         for action_id, (_, clauses, effects) in full.items():
             action = task.action(action_id)
             assert (action.precondition, action.effects) == rendered(clauses, effects)
@@ -274,6 +319,158 @@ class TestGroundTemplates:
         # both effects of this connect are goal atoms; it was built once
         assert built.count("tcp_connect h1 h{2}") == 1
         assert len(task.actions) == len({a.id for a in task.actions})
+
+    def test_format_directives_in_gates(self):
+        # with ``p%`` on h1 the hops from h1 need no ``up{}``: they fire, and
+        # the atoms they add are matched against the hops' gate, ``on%s``
+        domain = parse_pddl(_FORMAT_NAMES_DOMAIN)
+        problem = parse_pddl(_FORMAT_NAMES_PROBLEM.replace("(p% h%s))", "(p% h%s) (p% h1))"))
+        task = ground(domain, problem)
+        assert {a.id for a in task.actions} == naive_ground_ids(domain, problem)
+        assert [a.id for a in task.exploit_actions] == [
+            "hop{1}%s h%s h%s", "hop{1}%s h1 h%s", "hop{1}%s h1 h{2}", "hop{1}%s h{2} h%s"]
+        # this hop waits on ``up{}``, which the connect from h1 gives
+        assert task.action("hop{1}%s h{2} h%s").precondition == (
+            frozenset({"(on%s h{2})"}), frozenset({"(up{} h{2})"}))
+
+
+# a connect that needs what another connect gives: ``hop h1 h2`` needs
+# ``link h1 h2``, whose connect needs ``up h1``, which a ``udp_connect`` from
+# h1 gives
+_CONNECT_CHAIN_DOMAIN = """(define (domain d)
+  (:requirements :strips :typing)
+  (:types host)
+  (:predicates (on ?h - host) (up ?h - host) (link ?a - host ?b - host))
+  (:action hop
+    :parameters (?a - host ?b - host)
+    :precondition (and (on ?a) (link ?a ?b))
+    :effect (on ?b))
+  (:action udp_connect
+    :parameters (?local_host - host ?remote_host - host)
+    :precondition (on ?local_host)
+    :effect (up ?local_host))
+  (:action tcp_connect
+    :parameters (?local_host - host ?remote_host - host)
+    :precondition (up ?local_host)
+    :effect (link ?local_host ?remote_host)))"""
+_CONNECT_CHAIN_PROBLEM = """(define (problem q) (:domain d)
+  (:objects h1 h2 h3 - host)
+  (:init (on h1))
+  (:goal (on h3)))"""
+
+
+# predicates of the random domains below, with their argument types
+_RANDOM_PREDICATES = {"s1": ("host",), "s2": ("host", "host"), "s3": ("host", "tag"),
+                      "f1": ("host",), "f2": ("host", "tag"), "f3": ("host", "host"),
+                      "g1": ("host",),
+                      "TCP_connected": ("host", "host"), "UDP_connected": ("host", "host")}
+
+
+def _random_domain(seed):
+    """A small (domain, problem) pair: exploit schemas whose clauses mix
+    static and fluent atoms, connect schemas that achieve connection atoms
+    or atoms exploits also need, and a random init and goal."""
+    rng = random.Random(seed)
+    objects = {"host": [f"h{i}" for i in range(rng.randint(2, 4))], "tag": ["t0", "t1"]}
+
+    def atom(parameters, name=None):
+        name = name or rng.choice(sorted(_RANDOM_PREDICATES))
+        args = []
+        for kind in _RANDOM_PREDICATES[name]:
+            variables = [var for var, have in parameters if have == kind]
+            args.append(rng.choice(variables) if variables and rng.random() < 0.8
+                        else rng.choice(objects[kind]))
+        return Atom(name, tuple(args))
+
+    def clauses(parameters, low, high):
+        return tuple(tuple(atom(parameters) for _ in range(rng.randint(1, 2)))
+                     for _ in range(rng.randint(low, high)))
+
+    schemas = []
+    for number in range(rng.randint(1, 3)):
+        parameters = (("?a", "host"), ("?b", "host")) + (
+            (("?t", "tag"),) if rng.random() < 0.4 else ())
+        precondition = clauses(parameters, 1, 4)
+        effect = atom(parameters, rng.choice(["f1", "f2", "f3", "g1"]))
+        schemas.append(ActionSchema(f"x{number}", parameters, precondition, (effect,), None))
+    for name in rng.sample(["tcp_connect", "udp_connect", "tcp_connect_trusted"],
+                           rng.randint(1, 3)):
+        parameters = (("?local_host", "host"), ("?remote_host", "host"))
+        effect = rng.choice(["TCP_connected", "UDP_connected", "g1"])
+        schemas.append(ActionSchema(name, parameters, clauses(parameters, 0, 2), (Atom(
+            effect, ("?remote_host",) if effect == "g1" else ("?local_host", "?remote_host")),),
+            None))
+    init = {Atom(name, tuple(rng.choice(objects[kind]) for kind in kinds))
+            for name, kinds in _RANDOM_PREDICATES.items() for _ in range(rng.randint(0, 4))}
+    domain = PddlDocument(kind="domain", name="d", actions=tuple(schemas), predicates=tuple(
+        (name, tuple((f"?x{i}", kind) for i, kind in enumerate(kinds)))
+        for name, kinds in _RANDOM_PREDICATES.items()))
+    problem = PddlDocument(
+        kind="problem", name="q", domain_name="d",
+        objects=tuple((name, kind) for kind, names in objects.items() for name in names),
+        init=tuple(sorted(init, key=lambda a: (a.name, a.args))),
+        goal=(atom((), rng.choice(["f1", "g1", "TCP_connected"])),))
+    return domain, problem
+
+
+class TestReachableGrounding:
+    """Grounding keeps the exploits the attacker can fire: on purdue, where
+    more hosts add no foothold the attacker can reach, the task stays put."""
+
+    def test_purdue_grounds_one_task_at_every_size(self):
+        tasks = {}
+        for hosts in (21, 200, 400):
+            net, cat = purdue_fixture(hosts=hosts)
+            tasks[hosts] = build_task(network_from_dict(net),
+                                      ExploitMatrix(tuple(records_from_dict(cat))))[2]
+        ids = {hosts: [a.id for a in task.actions] for hosts, task in tasks.items()}
+        assert len(ids[21]) == 303 and ids[21] == ids[200] == ids[400]
+        plans = {hosts: find_top_k(task, 13) for hosts, task in tasks.items()}
+        assert len(plans[21]) == 13 and plans[21] == plans[200] == plans[400]
+        # the default ``max_len``, the number of actions, stays above every
+        # plan's length
+        assert max(len(plan) for plan in plans[400]) < len(tasks[400].actions)
+
+    def test_a_connect_can_wait_on_another_connect(self):
+        domain = parse_pddl(_CONNECT_CHAIN_DOMAIN)
+        problem = parse_pddl(_CONNECT_CHAIN_PROBLEM)
+        task = ground(domain, problem)
+        assert {a.id for a in task.actions} == naive_ground_ids(domain, problem)
+        assert len(task.exploit_actions) == 6
+
+    def test_random_domains_match_full_grounding(self):
+        fired = left_out = 0
+        for seed in range(400):
+            domain, problem = _random_domain(seed)
+            task = ground(domain, problem)
+            assert {a.id for a in task.actions} == naive_ground_ids(domain, problem)
+            assert len(task.actions) == len({a.id for a in task.actions})
+            full = naive_ground_all(domain, problem)
+            for action_id, (_, clauses, _) in full.items():
+                assert task.action(action_id).precondition == tuple(
+                    frozenset("(" + " ".join(atom) + ")" for atom in clause)
+                    for clause in clauses)
+            exploits = sum(1 for is_connect, _, _ in full.values() if not is_connect)
+            fired += bool(task.exploit_actions)
+            left_out += exploits > len(task.exploit_actions)
+        # the check is not vacuous: many domains fire exploits and leave some out
+        assert fired > 200 and left_out > 100
+
+    @pytest.mark.parametrize("kind", ["random", "dense", "purdue"])
+    def test_every_kept_exploit_fires_in_the_shared_fixpoint(self, kind):
+        pairs = {"random": [random_fixture(seed) for seed in range(40)],
+                 "dense": [dense_fixture(hosts) for hosts in (6, 10)],
+                 "purdue": [purdue_fixture(hosts=21)]}[kind]
+        tasks = 0
+        for net, cat in pairs:
+            net, matrix = network_from_dict(net), ExploitMatrix(tuple(records_from_dict(cat)))
+            if not select_relevant_exploits(net, matrix).relevant:
+                continue
+            index = build_task(net, matrix)[2].search_index()
+            assert all(planner._realize(clauses, needs, index.reached) is not None
+                       for _, clauses, needs, _ in index.prepared)
+            tasks += 1
+        assert tasks
 
 
 class TestWithGoal:
@@ -309,7 +506,9 @@ class TestWithGoal:
     def test_connection_goal_grounds_its_achievers(self, seed):
         domain, problem, task = build_task(*fixture_pair(seed))
         full = naive_ground_all(domain, problem)
-        left_out = sorted(set(full) - {a.id for a in task.actions})
+        # ``with_goal`` adds connects only: a connection goal asks for no exploit
+        left_out = sorted(i for i, (is_connect, _, _) in full.items()
+                          if is_connect and i not in task._by_id)
         assert left_out
         shared = task.search_index()
         for action_id in left_out:
